@@ -723,13 +723,14 @@ let search_throughput () =
      evaluated %d (+%d bound probes) in %.1f ms"
     wide.Core.Adaptive.implicit wide.Core.Adaptive.evaluated
     wide.Core.Adaptive.bounded (1e3 *. wide_dt);
+  let cold_st = Option.get cold_o.Core.Adaptive.disk
+  and warm_st = Option.get warm_o.Core.Adaptive.disk in
   Common.note
     "[speed] disk tier (zoom, budget %d): cold %.1f ms (%d stores), \
-     disk-warm %.1f ms (%d hits)"
-    budget (1e3 *. disk_cold)
-    (Option.get cold_o.Core.Adaptive.disk).Core.Disk_cache.stores
-    (1e3 *. disk_warm)
-    warm_o.Core.Adaptive.provenance.Core.Adaptive.disk;
+     disk-warm %.1f ms (%d hits, %d stores)"
+    budget (1e3 *. disk_cold) cold_st.Core.Disk_cache.stores
+    (1e3 *. disk_warm) warm_st.Core.Disk_cache.hits
+    warm_st.Core.Disk_cache.stores;
   (try Sys.mkdir Common.results_dir 0o755 with Sys_error _ -> ());
   let json =
     Core.Json.obj

@@ -556,9 +556,8 @@ let search_cmd =
     | None -> ()
     | Some st ->
         Format.printf
-          "disk cache: %d loaded, %d hits, %d stores, %d skipped@."
-          st.Disk_cache.loaded st.Disk_cache.hits st.Disk_cache.stores
-          st.Disk_cache.skipped);
+          "disk cache: %d hits, %d stores, %d skipped@."
+          st.Disk_cache.hits st.Disk_cache.stores st.Disk_cache.skipped);
     (match o.Adaptive.best with
     | None -> Format.printf "no feasible design found within budget@."
     | Some d ->

@@ -34,6 +34,7 @@ type job = {
   mutable result : result option;
   mutable seq : int;
   mutable events : (int * Json.t) list;
+  mutable watched : bool;
 }
 
 let finished j =
@@ -96,12 +97,18 @@ let job_to_json j =
 
 (* --- the queue --- *)
 
+(* Finished jobs kept for listings and lookups; older ones are dropped
+   (404 from then on), so a daemon serving jobs for days keeps a bounded
+   job table. Queued and running jobs are never dropped. *)
+let retained_finished = 256
+
 type t = {
   capacity : int;
   m : Mutex.t;
   changed : Condition.t;  (* any job/queue state change *)
-  pending : job Queue.t;
-  mutable all : job list;  (* newest first *)
+  pending : job Queue.t;  (* queued jobs only, FIFO *)
+  by_id : (int, job) Hashtbl.t;  (* every retained job *)
+  retired : job Queue.t;  (* retained finished jobs, oldest first *)
   mutable next_id : int;
   mutable draining : bool;
 }
@@ -113,7 +120,8 @@ let create ~capacity =
     m = Mutex.create ();
     changed = Condition.create ();
     pending = Queue.create ();
-    all = [];
+    by_id = Hashtbl.create 64;
+    retired = Queue.create ();
     next_id = 1;
     draining = false;
   }
@@ -149,7 +157,36 @@ let emit_locked t job ev =
 
 let emit t job ev = locked t (fun () -> emit_locked t job ev)
 
-let submit t scenario =
+(* A finished job's event log shrinks to its terminal event (the newest)
+   once the stream that watched it from submission, if any, is done. *)
+let shrink_log job =
+  if finished job && not job.watched then
+    match job.events with
+    | terminal :: _ :: _ -> job.events <- [ terminal ]
+    | _ -> ()
+
+(* The one way a job becomes finished: status, result, timestamp and the
+   terminal event change together under the lock, so a streamer never
+   sees a finished job whose terminal event is still to come. The oldest
+   finished job beyond [retained_finished] is then forgotten. *)
+let finish_locked t job ?result status ev =
+  (match status with
+  | _ when finished job -> invalid_arg "Jobq.finish: job already finished"
+  | Done | Failed _ | Cancelled -> ()
+  | Queued | Running -> invalid_arg "Jobq.finish: not a terminal status");
+  job.result <- result;
+  job.status <- status;
+  job.finished_at <- Some (Unix.gettimeofday ());
+  emit_locked t job ev;
+  shrink_log job;
+  Queue.push job t.retired;
+  if Queue.length t.retired > retained_finished then
+    Hashtbl.remove t.by_id (Queue.pop t.retired).id
+
+let finish t job ?result status ev =
+  locked t (fun () -> finish_locked t job ?result status ev)
+
+let submit ?(watch = false) t scenario =
   locked t (fun () ->
       if t.draining then Error `Draining
       else if Queue.length t.pending >= t.capacity then
@@ -172,11 +209,12 @@ let submit t scenario =
             result = None;
             seq = 0;
             events = [];
+            watched = watch;
           }
         in
         t.next_id <- t.next_id + 1;
         Queue.push job t.pending;
-        t.all <- job :: t.all;
+        Hashtbl.replace t.by_id job.id job;
         emit_locked t job
           (Json.obj
              [
@@ -191,7 +229,7 @@ let claim t =
   locked t (fun () ->
       let rec next () =
         match Queue.take_opt t.pending with
-        | Some job when job.status = Queued ->
+        | Some job ->
             (* Flip to Running under the lock: a cancel arriving between
                the claim and the runner's first instruction must see
                Running (and set the flag) rather than Queued (and mark a
@@ -199,7 +237,6 @@ let claim t =
             job.status <- Running;
             job.started_at <- Some (Unix.gettimeofday ());
             Some job
-        | Some _ -> next () (* cancelled while queued *)
         | None ->
             if t.draining then None
             else begin
@@ -209,20 +246,28 @@ let claim t =
       in
       next ())
 
-let find t id = locked t (fun () -> List.find_opt (fun j -> j.id = id) t.all)
-let jobs t = locked t (fun () -> List.rev t.all)
+let find t id = locked t (fun () -> Hashtbl.find_opt t.by_id id)
+
+let jobs t =
+  locked t (fun () ->
+      Hashtbl.fold (fun _ j acc -> j :: acc) t.by_id []
+      |> List.sort (fun a b -> compare a.id b.id))
 
 let cancel t id =
   locked t (fun () ->
-      match List.find_opt (fun j -> j.id = id) t.all with
+      match Hashtbl.find_opt t.by_id id with
       | None -> `Unknown
       | Some job -> (
           match job.status with
           | Done | Failed _ | Cancelled -> `Already_finished
           | Queued ->
-              job.status <- Cancelled;
-              job.finished_at <- Some (Unix.gettimeofday ());
-              emit_locked t job
+              (* Out of the pending queue at once: a cancelled job must
+                 not hold a queue slot until a worker skips past it. *)
+              let keep = Queue.create () in
+              Queue.iter (fun j -> if j != job then Queue.push j keep) t.pending;
+              Queue.clear t.pending;
+              Queue.transfer keep t.pending;
+              finish_locked t job Cancelled
                 (Json.obj [ ("event", Json.string "cancelled") ]);
               `Cancelled
           | Running ->
@@ -236,24 +281,28 @@ let drain t =
 
 let draining t = locked t (fun () -> t.draining)
 
-let events_after ?(timeout_s = 1.0) t job seq =
+let events_after t job seq =
   locked t (fun () ->
       let fresh () =
         List.filter (fun (s, _) -> s > seq) job.events |> List.rev
       in
       match fresh () with
-      | _ :: _ as evs -> evs
+      | _ :: _ as evs -> (evs, finished job)
       | [] ->
-          if finished job then []
+          if finished job then ([], true)
           else begin
             (* [Condition] has no timed wait, so the bound comes from the
                waker side: every state change broadcasts, and the
                server's accept loop calls {!tick} on each poll interval,
-               so a wait never outlives roughly [timeout_s] even when a
-               job stalls. Callers loop on an empty return. *)
-            ignore timeout_s;
+               so a wait never outlives one poll even when a job stalls.
+               Callers loop on an empty return. *)
             Condition.wait t.changed t.m;
-            fresh ()
+            (fresh (), finished job)
           end)
+
+let unwatch t job =
+  locked t (fun () ->
+      job.watched <- false;
+      shrink_log job)
 
 let tick t = locked t (fun () -> Condition.broadcast t.changed)

@@ -41,7 +41,10 @@ type job = {
   mutable cold : int;  (** points actually simulated *)
   mutable result : result option;
   mutable seq : int;  (** sequence number of the newest event *)
-  mutable events : (int * Json.t) list;  (** newest first, bounded *)
+  mutable events : (int * Json.t) list;
+      (** newest first, bounded; just the terminal event once finished
+          and no longer watched *)
+  mutable watched : bool;  (** a [submit ~watch] stream is still reading *)
 }
 
 val finished : job -> bool
@@ -67,10 +70,16 @@ val capacity : t -> int
 val depth : t -> int
 (** Jobs queued and not yet claimed (running jobs excluded). *)
 
-val submit : t -> Scenario.t -> (job, [ `Full of int | `Draining ]) Stdlib.result
+val submit :
+  ?watch:bool ->
+  t ->
+  Scenario.t ->
+  (job, [ `Full of int | `Draining ]) Stdlib.result
 (** Enqueue a new job (FIFO). [`Full depth] when the queue is at
     capacity - the caller rejects, never blocks; [`Draining] after
-    {!drain}. *)
+    {!drain}. [~watch:true] registers a stream that will read the job's
+    events from the start: its event log is kept whole until that
+    stream calls {!unwatch}, however soon the job finishes. *)
 
 val claim : t -> job option
 (** Block until a queued job is available and mark it [Running] (under
@@ -78,13 +87,18 @@ val claim : t -> job option
     state); skips jobs cancelled while queued. [None] once the queue is
     empty and draining - the worker exit signal. *)
 
+val retained_finished : int
+(** Finished jobs kept for {!find} and {!jobs} (256): once more have
+    finished, the one that finished earliest is forgotten. Queued and
+    running jobs are always kept. *)
+
 val find : t -> int -> job option
 val jobs : t -> job list
-(** Every job the daemon has seen (bounded history), oldest first. *)
+(** Every retained job, oldest first. *)
 
 val cancel : t -> int -> [ `Cancelled | `Cancelling | `Already_finished | `Unknown ]
 (** Queued jobs cancel immediately ([`Cancelled], with a terminal event
-    emitted); running jobs get their flag set ([`Cancelling]) and the
+    emitted, and their queue slot freed); running jobs get their flag set ([`Cancelling]) and the
     runner emits the terminal event when it notices. *)
 
 val drain : t -> unit
@@ -99,12 +113,26 @@ val emit : t -> job -> Json.t -> unit
 (** Append an event to the job's bounded event log (the event object
     gains ["seq"] and ["id"] members) and wake all waiters. *)
 
-val events_after : ?timeout_s:float -> t -> job -> int -> (int * Json.t) list
-(** Events with sequence number beyond the given one, oldest first.
-    Blocks until at least one arrives, the job reaches a terminal
-    status, or a waker arrives (every state change broadcasts; the
-    server's poll loop calls {!tick} about every [timeout_s]) - callers
-    loop, so a spurious empty return is fine. *)
+val finish : t -> job -> ?result:result -> status -> Json.t -> unit
+(** [finish t job ?result status ev] ends a running job: sets its
+    result, terminal [status] and [finished_at], and emits the terminal
+    event [ev], all under the queue lock - so a job is never seen
+    finished before its terminal event is in the log. The event log then
+    shrinks to that one event (once the watching stream, if any, is
+    done).
+    Raises [Invalid_argument] on a
+    non-terminal status or a job already finished. *)
+
+val events_after : t -> job -> int -> (int * Json.t) list * bool
+(** Events with sequence number beyond the given one, oldest first, and
+    whether the job had finished at that read - if so the job's terminal
+    event is in the list or was returned before, and no event follows.
+    Blocks until at least one event arrives, the job finishes, or a
+    waker arrives (every state change broadcasts; the server's poll loop
+    calls {!tick}) - callers loop, so a spurious empty return is fine. *)
+
+val unwatch : t -> job -> unit
+(** The stream registered by [submit ~watch:true] is done reading. *)
 
 val tick : t -> unit
 (** Wake every waiter (the liveness heartbeat behind

@@ -44,11 +44,11 @@ let queue t = t.q
 
 (* --- observability --- *)
 
-let m_requests = lazy (Metrics.counter "daemon_requests_total")
-let m_jobs_done = lazy (Metrics.counter "daemon_jobs_total")
-let m_points = lazy (Metrics.counter "daemon_points_total")
-let m_queue_depth = lazy (Metrics.gauge "daemon_queue_depth")
-let m_job_time = lazy (Metrics.histogram "daemon_job_seconds")
+let m_requests = Metrics.counter "daemon_requests_total"
+let m_jobs_done = Metrics.counter "daemon_jobs_total"
+let m_points = Metrics.counter "daemon_points_total"
+let m_queue_depth = Metrics.gauge "daemon_queue_depth"
+let m_job_time = Metrics.histogram "daemon_job_seconds"
 
 (* --- job execution --- *)
 
@@ -63,9 +63,10 @@ let split_batch n pts =
 (* One job: enumerate the scenario's points once, then per batch - check
    the cancel flag, classify each point's provenance (memo hit / disk
    promotion / cold), evaluate through the shared [Eval] cache and the
-   [Parallel] pool, write cold results through to the disk tier, and emit
-   a progress event. The provenance classification is what the warm-cache
-   acceptance rate is measured from. *)
+   [Parallel] pool, write only the cold results through to the disk tier
+   (a warm job does no disk I/O), and emit a progress event. The
+   provenance classification is what the warm-cache acceptance rate is
+   measured from. *)
 let run_job t (job : Jobq.job) =
   let sc = job.scenario in
   Jobq.emit t.q job
@@ -91,25 +92,30 @@ let run_job t (job : Jobq.job) =
           cancelled := true
       | pts ->
           let batch, rest = split_batch t.cfg.batch pts in
-          List.iter
-            (fun p ->
-              if Eval.probe sc p then job.memo_hits <- job.memo_hits + 1
-              else
-                match Option.bind disk (fun d -> Disk_cache.find d p) with
-                | Some design ->
-                    Eval.seed sc p design;
-                    job.disk_hits <- job.disk_hits + 1
-                | None -> job.cold <- job.cold + 1)
-            batch;
+          let tiers =
+            List.map
+              (fun p ->
+                let tier = Disk_cache.classify disk sc p in
+                (match tier with
+                | Disk_cache.Memo -> job.memo_hits <- job.memo_hits + 1
+                | Disk_cache.Disk -> job.disk_hits <- job.disk_hits + 1
+                | Disk_cache.Cold -> job.cold <- job.cold + 1);
+                tier)
+              batch
+          in
           let eval () = Eval.points sc batch in
           let designs =
             match t.cfg.eval_jobs with
             | Some n -> Parallel.with_jobs n eval
             | None -> eval ()
           in
-          (match disk with
-          | Some d -> List.iter2 (fun p dsg -> Disk_cache.store d p dsg) batch designs
-          | None -> ());
+          Option.iter
+            (fun d ->
+              List.iter2
+                (fun (p, tier) dsg ->
+                  if tier = Disk_cache.Cold then Disk_cache.store d p dsg)
+                (List.combine batch tiers) designs)
+            disk;
           List.iter
             (fun dsg ->
               if Scenario.compliant sc dsg && Design.manufacturable dsg then begin
@@ -119,7 +125,7 @@ let run_job t (job : Jobq.job) =
               end)
             designs;
           job.progress <- job.progress + List.length batch;
-          Metrics.incr ~by:(List.length batch) (Lazy.force m_points);
+          Metrics.incr ~by:(List.length batch) m_points;
           Jobq.emit t.q job
             (Json.obj
                [
@@ -138,31 +144,26 @@ let run_job t (job : Jobq.job) =
   with
   | cancelled, compliant, best_ttft, best_tbt ->
       let wall = Unix.gettimeofday () -. t0 in
-      Metrics.observe (Lazy.force m_job_time) wall;
-      job.finished_at <- Some (Unix.gettimeofday ());
-      if cancelled then begin
-        job.status <- Jobq.Cancelled;
-        Jobq.emit t.q job
+      Metrics.observe m_job_time wall;
+      if cancelled then
+        Jobq.finish t.q job Jobq.Cancelled
           (Json.obj
              [
                ("event", Json.string "cancelled");
                ("progress", Json.int job.progress);
              ])
-      end
       else begin
-        job.result <-
-          Some
+        Metrics.incr m_jobs_done;
+        let rate = Jobq.warm_hit_rate job in
+        Jobq.finish t.q job Jobq.Done
+          ~result:
             {
               Jobq.designs = job.progress;
               compliant;
               best_ttft_s = (if compliant > 0 then best_ttft else nan);
               best_tbt_s = (if compliant > 0 then best_tbt else nan);
               wall_s = wall;
-            };
-        job.status <- Jobq.Done;
-        Metrics.incr (Lazy.force m_jobs_done);
-        let rate = Jobq.warm_hit_rate job in
-        Jobq.emit t.q job
+            }
           (Json.obj
              ([
                 ("event", Json.string "done");
@@ -177,9 +178,7 @@ let run_job t (job : Jobq.job) =
       end
   | exception e ->
       let msg = Printexc.to_string e in
-      job.finished_at <- Some (Unix.gettimeofday ());
-      job.status <- Jobq.Failed msg;
-      Jobq.emit t.q job
+      Jobq.finish t.q job (Jobq.Failed msg)
         (Json.obj
            [ ("event", Json.string "failed"); ("error", Json.string msg) ])
 
@@ -227,7 +226,12 @@ let respond_error fd status msg =
 
 let handle_submit t fd (req : Http.request) =
   let sc = scenario_of_body req.body in
-  match Jobq.submit t.q sc with
+  let wants_wait =
+    match Http.query_param req "wait" with
+    | Some ("1" | "true" | "") -> true
+    | Some _ | None -> false
+  in
+  match Jobq.submit ~watch:wants_wait t.q sc with
   | Error (`Full depth) ->
       Http.respond_json ~status:429 fd
         (Json.obj
@@ -239,45 +243,42 @@ let handle_submit t fd (req : Http.request) =
   | Error `Draining ->
       Http.respond_json ~status:503 fd
         (Json.obj [ ("error", Json.string "draining: not accepting jobs") ])
+  | Ok job when not wants_wait ->
+      Http.respond_json ~status:202 fd (Jobq.job_to_json job)
   | Ok job -> (
-      let wants_wait =
-        match Http.query_param req "wait" with
-        | Some ("1" | "true" | "") -> true
-        | Some _ | None -> false
-      in
-      if not wants_wait then Http.respond_json ~status:202 fd (Jobq.job_to_json job)
-      else
-        (* Stream the job's event log as chunked ndjson until the job
-           finishes, then a final summary event carrying the whole job
-           record. A client hanging up raises EPIPE (SIGPIPE is
-           ignored), which just ends the stream - the job keeps
-           running. *)
-        try
-          Http.start_chunked ~status:200 fd;
-          let seq = ref 0 in
-          let finished = ref false in
-          while not !finished do
-            let evs = Jobq.events_after t.q job !seq in
-            List.iter
-              (fun (s, ev) ->
-                seq := s;
-                Http.write_chunk fd (Json.to_string ev ^ "\n"))
-              evs;
-            if evs = [] && Jobq.finished job then finished := true
-          done;
-          Http.write_chunk fd
-            (Json.to_string
-               (Json.obj
-                  [
-                    ("event", Json.string "summary");
-                    ("job", Jobq.job_to_json job);
-                  ])
-            ^ "\n");
-          Http.finish_chunked fd
-        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
+      (* Stream the job's event log as chunked ndjson until the job
+         finishes, then a final summary event carrying the whole job
+         record. The job was submitted watched, so its log stays whole
+         until this stream lets go, however fast it runs. A client
+         hanging up raises EPIPE (SIGPIPE is ignored), which just ends
+         the stream - the job keeps running. *)
+      Fun.protect ~finally:(fun () -> Jobq.unwatch t.q job) @@ fun () ->
+      try
+        Http.start_chunked ~status:200 fd;
+        let seq = ref 0 in
+        let finished = ref false in
+        while not !finished do
+          let evs, fin = Jobq.events_after t.q job !seq in
+          List.iter
+            (fun (s, ev) ->
+              seq := s;
+              Http.write_chunk fd (Json.to_string ev ^ "\n"))
+            evs;
+          finished := fin
+        done;
+        Http.write_chunk fd
+          (Json.to_string
+             (Json.obj
+                [
+                  ("event", Json.string "summary");
+                  ("job", Jobq.job_to_json job);
+                ])
+          ^ "\n");
+        Http.finish_chunked fd
+      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
 
 let route t fd (req : Http.request) =
-  Metrics.incr (Lazy.force m_requests);
+  Metrics.incr m_requests;
   match segments req.path with
   | [ "healthz" ] ->
       if req.meth <> "GET" then respond_error fd 405 "use GET"
@@ -362,7 +363,7 @@ let accept_loop t =
       (* The poll tick doubles as the liveness heartbeat for progress
          streamers blocked in [Jobq.events_after]. *)
       Jobq.tick t.q;
-      Metrics.set_gauge (Lazy.force m_queue_depth)
+      Metrics.set_gauge m_queue_depth
         (float_of_int (Jobq.depth t.q));
       (match Unix.select [ t.sock ] [] [] 0.2 with
       | [], _, _ -> ()

@@ -8,34 +8,29 @@
    construction, and immune to any printer subtlety - with a readable
    decimal duplicate alongside for humans.
 
-   Writes go to a temp file in the same directory followed by a
-   [Sys.rename], so a crash mid-write leaves at worst a [.part] file the
-   loader never looks at; a truncated or garbage record is counted in
-   [stats.skipped] and ignored, never fatal. Records carry a version
-   field: bumping [version] orphans every existing entry (skipped on
-   load), which is the invalidation story when the perf model changes. *)
+   A record's file name is a function of (context, point), so the tier
+   needs no index: [open_dir] reads nothing, [find] reads the one file
+   the point would live in, and a job costs O(its own points) however
+   large the directory has grown. Writes go to a temp file in the same
+   directory followed by a [Sys.rename], so a crash mid-write leaves at
+   worst a [.part] file no lookup ever opens; a truncated or garbage
+   record is counted in [stats.skipped], answered as a miss, and
+   overwritten by the next store of that point. Records carry a version
+   field: bumping [version] orphans every existing entry (a miss on
+   read), which is the invalidation story when the perf model changes. *)
 
 module Json = Acs_util.Json
 
 let version = 1
 let default_dir = Filename.concat "results" "cache"
 
-type stats = { loaded : int; hits : int; stores : int; skipped : int }
-
-module Ptable = Hashtbl.Make (struct
-  type t = Space.params
-
-  let equal = Space.params_equal
-  let hash = Space.params_hash
-end)
+type stats = { hits : int; stores : int; skipped : int }
 
 type t = {
   dir : string;
   ctx_tag : string;  (** hex of [Scenario.context_hash], for filenames *)
-  ctx_str : string;  (** canonical context JSON, compared on load *)
+  ctx_str : string;  (** canonical context JSON, compared on read *)
   scenario : Scenario.t;
-  table : Design.t Ptable.t;
-  mutable loaded : int;
   mutable hits : int;
   mutable stores : int;
   mutable skipped : int;
@@ -70,18 +65,17 @@ let entry_path t p =
     (Hashtbl.hash pj land 0xffff_ffff)
   |> Filename.concat t.dir
 
-let mkdirs = Acs_util.Fs.mkdir_p
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* One record off disk. [Error `Other_context] is a healthy entry that
-   belongs to a different evaluation context (or cache generation) and is
-   silently ignored; every malformed/stale shape is [`Skip]. *)
-let parse_entry t text =
+(* One record off disk, expected to hold point [p]. [Error `Foreign] is a
+   healthy entry of a different context or point (a hash collision on
+   the file name) and is a plain miss; every malformed or version-stale
+   shape is [`Skip]. *)
+let parse_entry t p text =
   match Json.of_string text with
   | exception Json.Error _ -> Error `Skip
   | j -> (
@@ -91,89 +85,81 @@ let parse_entry t text =
       | _ -> (
           match Json.to_str (Json.member "context" j) with
           | exception Json.Error _ -> Error `Skip
-          | ctx when ctx <> t.ctx_str -> Error `Other_context
+          | ctx when ctx <> t.ctx_str -> Error `Foreign
           | _ -> (
-              try
-                let p = Space.params_of_json (Json.member "params" j) in
-                let ttft_s = bits_float (Json.to_str (Json.member "ttft_bits" j)) in
-                let tbt_s = bits_float (Json.to_str (Json.member "tbt_bits" j)) in
-                let s = t.scenario in
-                let device =
-                  Space.build ?memory_gb:s.Scenario.memory_gb
-                    ~tpp_target:s.Scenario.tpp_target p
-                in
-                Ok (p, Design.of_latencies p device ~ttft_s ~tbt_s)
-              with _ -> Error `Skip)))
+              match Space.params_of_json (Json.member "params" j) with
+              | exception _ -> Error `Skip
+              | q when not (Space.params_equal p q) -> Error `Foreign
+              | _ -> (
+                  try
+                    let ttft_s = bits_float (Json.to_str (Json.member "ttft_bits" j)) in
+                    let tbt_s = bits_float (Json.to_str (Json.member "tbt_bits" j)) in
+                    let s = t.scenario in
+                    let device =
+                      Space.build ?memory_gb:s.Scenario.memory_gb
+                        ~tpp_target:s.Scenario.tpp_target p
+                    in
+                    Ok (Design.of_latencies p device ~ttft_s ~tbt_s)
+                  with _ -> Error `Skip))))
 
 let open_dir ~dir scenario =
-  mkdirs dir;
-  let t =
-    {
-      dir;
-      ctx_tag = Printf.sprintf "%015x" (Scenario.context_hash scenario land max_int);
-      ctx_str = context_string scenario;
-      scenario;
-      table = Ptable.create 256;
-      loaded = 0;
-      hits = 0;
-      stores = 0;
-      skipped = 0;
-    }
-  in
-  let entries = try Sys.readdir dir with Sys_error _ -> [||] in
-  Array.iter
-    (fun name ->
-      if
-        String.length name > 4
-        && String.sub name 0 4 = "acs-"
-        && Filename.check_suffix name ".json"
-      then
-        let path = Filename.concat dir name in
-        match parse_entry t (read_file path) with
-        | Ok (p, d) ->
-            if not (Ptable.mem t.table p) then begin
-              Ptable.add t.table p d;
-              t.loaded <- t.loaded + 1
-            end
-        | Error `Other_context -> ()
-        | Error `Skip | (exception Sys_error _) ->
-            t.skipped <- t.skipped + 1)
-    entries;
-  t
+  Acs_util.Fs.mkdir_p dir;
+  {
+    dir;
+    ctx_tag = Printf.sprintf "%015x" (Scenario.context_hash scenario land max_int);
+    ctx_str = context_string scenario;
+    scenario;
+    hits = 0;
+    stores = 0;
+    skipped = 0;
+  }
 
 let find t p =
-  match Ptable.find_opt t.table p with
-  | Some d ->
-      t.hits <- t.hits + 1;
-      Some d
-  | None -> None
+  match read_file (entry_path t p) with
+  | exception (Sys_error _ | End_of_file) -> None
+  | text -> (
+      match parse_entry t p text with
+      | Ok d ->
+          t.hits <- t.hits + 1;
+          Some d
+      | Error `Foreign -> None
+      | Error `Skip ->
+          t.skipped <- t.skipped + 1;
+          None)
 
 let store t p (d : Design.t) =
-  if not (Ptable.mem t.table p) then begin
-    Ptable.add t.table p d;
-    let finite_or_null f = if Float.is_finite f then Json.float f else Json.Null in
-    let record =
-      Json.obj
-        [
-          ("version", Json.int version);
-          ("context", Json.string t.ctx_str);
-          ("params", Space.params_to_json p);
-          ("ttft_bits", Json.string (float_bits d.Design.ttft_s));
-          ("tbt_bits", Json.string (float_bits d.Design.tbt_s));
-          (* Readable duplicates, informational only (dropped when not
-             finite - JSON has no literal for nan/infinity). *)
-          ("ttft_s", finite_or_null d.Design.ttft_s);
-          ("tbt_s", finite_or_null d.Design.tbt_s);
-        ]
-    in
-    let tmp = Filename.temp_file ~temp_dir:t.dir "acs_write" ".part" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Json.to_string ~indent:2 record));
-    Sys.rename tmp (entry_path t p);
-    t.stores <- t.stores + 1
-  end
+  let finite_or_null f = if Float.is_finite f then Json.float f else Json.Null in
+  let record =
+    Json.obj
+      [
+        ("version", Json.int version);
+        ("context", Json.string t.ctx_str);
+        ("params", Space.params_to_json p);
+        ("ttft_bits", Json.string (float_bits d.Design.ttft_s));
+        ("tbt_bits", Json.string (float_bits d.Design.tbt_s));
+        (* Readable duplicates, informational only (dropped when not
+           finite - JSON has no literal for nan/infinity). *)
+        ("ttft_s", finite_or_null d.Design.ttft_s);
+        ("tbt_s", finite_or_null d.Design.tbt_s);
+      ]
+  in
+  let tmp = Filename.temp_file ~temp_dir:t.dir "acs_write" ".part" in
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (Json.to_string ~indent:2 record));
+  Sys.rename tmp (entry_path t p);
+  t.stores <- t.stores + 1
 
-let stats t =
-  { loaded = t.loaded; hits = t.hits; stores = t.stores; skipped = t.skipped }
+let stats t = { hits = t.hits; stores = t.stores; skipped = t.skipped }
+
+type tier = Memo | Disk | Cold
+
+let classify disk s p =
+  if Eval.probe s p then Memo
+  else
+    match Option.bind disk (fun t -> find t p) with
+    | Some d ->
+        Eval.seed s p d;
+        Disk
+    | None -> Cold

@@ -6,11 +6,14 @@ type stats = { lookups : int; hits : int; evaluations : int }
 
 (* Registry metrics mirroring the local atomics: the atomics feed
    [stats ()] (and [Common.timed]); the registry feeds `acs profile`'s
-   summary and the metrics export. *)
-let m_lookups = lazy (Metrics.counter "dse_cache_lookups_total")
-let m_hits = lazy (Metrics.counter "dse_cache_hits_total")
-let m_evals = lazy (Metrics.counter "dse_evaluations_total")
-let m_eval_seconds = lazy (Metrics.histogram "dse_eval_seconds")
+   summary and the metrics export. Registered at module initialisation:
+   a [lazy] handle first forced by two worker domains at once raises
+   [CamlinternalLazy.Undefined]. *)
+let m_lookups = Metrics.counter "dse_cache_lookups_total"
+let m_hits = Metrics.counter "dse_cache_hits_total"
+let m_evictions = Metrics.counter "dse_cache_evictions_total"
+let m_evals = Metrics.counter "dse_evaluations_total"
+let m_eval_seconds = Metrics.histogram "dse_eval_seconds"
 
 (* The memo cache is keyed per design point: the sweep's shared context
    (a {!Scenario.t}; [Scenario.context_equal] ignores name, description,
@@ -44,14 +47,38 @@ module Pcache = Hashtbl.Make (Pkey)
    global lock (they did, and the lock was held across the full
    scenario hash + equality walk). The shard index comes from bits 24+ of
    the key hash: [Hashtbl] buckets on the low bits, so taking high bits
-   keeps the two choices uncorrelated. *)
-let n_shards = 16
+   keeps the two choices uncorrelated.
 
-type shard = { lock : Mutex.t; table : Design.t Pcache.t }
+   Each shard holds at most [shard_capacity] entries, so a daemon that
+   serves novel contexts for days keeps a bounded memo. Eviction is CLOCK
+   (second chance): entries sit in a ring, a hit sets the entry's
+   reference bit in place, and an insert into a full shard advances the
+   hand - clearing set bits - to the first unreferenced entry and
+   replaces it. A hot set that keeps being hit survives any stream of
+   one-off inserts. The 4096-entry total is above the largest registry
+   sweep (2304 points), with headroom for per-shard skew. *)
+let n_shards = 16
+let shard_capacity = 256
+
+type entry = { key : Pkey.t; design : Design.t; mutable referenced : bool }
+
+type shard = {
+  lock : Mutex.t;
+  table : entry Pcache.t;
+  ring : entry option array;  (** filled in order, then replaced in place *)
+  mutable used : int;
+  mutable hand : int;
+}
 
 let shards =
   Array.init n_shards (fun _ ->
-      { lock = Mutex.create (); table = Pcache.create 512 })
+      {
+        lock = Mutex.create ();
+        table = Pcache.create 512;
+        ring = Array.make shard_capacity None;
+        used = 0;
+        hand = 0;
+      })
 
 let shard_of hash = shards.((hash lsr 24) land (n_shards - 1))
 let lookups = Atomic.make 0
@@ -70,6 +97,9 @@ let clear () =
     (fun s ->
       Mutex.lock s.lock;
       Pcache.reset s.table;
+      Array.fill s.ring 0 shard_capacity None;
+      s.used <- 0;
+      s.hand <- 0;
       Mutex.unlock s.lock)
     shards;
   Atomic.set lookups 0;
@@ -86,21 +116,58 @@ let point_key ~ctx_hash (s : Scenario.t) p =
 let find_opt (key : Pkey.t) =
   let shard = shard_of key.Pkey.hash in
   Mutex.lock shard.lock;
-  let r = Pcache.find_opt shard.table key in
+  let r =
+    match Pcache.find_opt shard.table key with
+    | Some e ->
+        e.referenced <- true;
+        Some e.design
+    | None -> None
+  in
   Mutex.unlock shard.lock;
   Atomic.incr lookups;
-  Metrics.incr (Lazy.force m_lookups);
+  Metrics.incr m_lookups;
   if Option.is_some r then begin
     Atomic.incr hits;
-    Metrics.incr (Lazy.force m_hits)
+    Metrics.incr m_hits
   end;
   r
+
+(* Advance the hand to the first unreferenced entry, clearing reference
+   bits on the way, and put [e] in its slot. Caller holds the lock and
+   the shard is full. *)
+let rec replace_victim shard e =
+  let slot = shard.hand in
+  shard.hand <- (slot + 1) mod shard_capacity;
+  match shard.ring.(slot) with
+  | Some v when v.referenced ->
+      v.referenced <- false;
+      replace_victim shard e
+  | Some v ->
+      Pcache.remove shard.table v.key;
+      shard.ring.(slot) <- Some e
+  | None -> assert false
 
 let insert (key : Pkey.t) design =
   let shard = shard_of key.Pkey.hash in
   Mutex.lock shard.lock;
-  if not (Pcache.mem shard.table key) then Pcache.add shard.table key design;
-  Mutex.unlock shard.lock
+  let evicted =
+    if Pcache.mem shard.table key then false
+    else begin
+      let e = { key; design; referenced = false } in
+      Pcache.add shard.table key e;
+      if shard.used < shard_capacity then begin
+        shard.ring.(shard.used) <- Some e;
+        shard.used <- shard.used + 1;
+        false
+      end
+      else begin
+        replace_victim shard e;
+        true
+      end
+    end
+  in
+  Mutex.unlock shard.lock;
+  if evicted then Metrics.incr m_evictions
 
 let probe (s : Scenario.t) p =
   Option.is_some
@@ -112,13 +179,13 @@ let compile_scenario (s : Scenario.t) =
 
 let evaluate_point (s : Scenario.t) compiled p =
   Atomic.incr evaluations;
-  Metrics.incr (Lazy.force m_evals);
+  Metrics.incr m_evals;
   let eval () =
     Design.evaluate_compiled ?calib:s.Scenario.calib compiled p
       (Space.build ?memory_gb:s.Scenario.memory_gb
          ~tpp_target:s.Scenario.tpp_target p)
   in
-  Metrics.time (Lazy.force m_eval_seconds) (fun () ->
+  Metrics.time m_eval_seconds (fun () ->
       if not (Span.enabled ()) then eval ()
       else
         Span.with_span "eval.point"

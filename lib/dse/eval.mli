@@ -19,7 +19,14 @@
     nan/-0. float semantics of {!Scenario.equal}. The table is sharded 16
     ways on the high hash bits, each shard behind its own mutex, so
     concurrent domains probing a warm cache do not serialize on a global
-    lock; it stays safe to share between domains. *)
+    lock; it stays safe to share between domains.
+
+    The cache is bounded: at most 256 entries per shard (4096 in all),
+    evicted by CLOCK - a hit sets the entry's reference bit, and an
+    insert into a full shard replaces the first entry the hand finds
+    unreferenced, clearing bits as it passes. Evictions are counted in
+    the [dse_cache_evictions_total] registry counter. An evicted point
+    is simply evaluated again, with a bit-identical result. *)
 
 type stats = {
   lookups : int;  (** cache probes *)
@@ -71,7 +78,8 @@ val points : ?cache:bool -> Scenario.t -> Space.params list -> Design.t list
 val seed : Scenario.t -> Space.params -> Design.t -> unit
 (** Inserts an already-computed design into the memo cache without
     counting an evaluation - the disk-cache tier uses it to promote
-    on-disk entries into memory. First insertion wins, as with {!run}. *)
+    on-disk entries into memory. First insertion wins, as with {!run};
+    a full shard evicts as any insertion does. *)
 
 val probe : Scenario.t -> Space.params -> bool
 (** Lookup only - no evaluation, no insertion: is this context + point

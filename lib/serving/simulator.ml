@@ -10,11 +10,11 @@ module Metrics = Acs_util.Metrics
 (* Registry metrics are always on (atomic bumps, far cheaper than the
    engine calls they count); spans and their attribute lists are built
    only when tracing is enabled. *)
-let m_prefills = lazy (Metrics.counter "serving_prefill_batches_total")
-let m_decodes = lazy (Metrics.counter "serving_decode_steps_total")
-let m_admitted = lazy (Metrics.counter "serving_admitted_total")
-let m_rejected = lazy (Metrics.counter "serving_rejected_total")
-let m_occupancy = lazy (Metrics.histogram "serving_batch_occupancy")
+let m_prefills = Metrics.counter "serving_prefill_batches_total"
+let m_decodes = Metrics.counter "serving_decode_steps_total"
+let m_admitted = Metrics.counter "serving_admitted_total"
+let m_rejected = Metrics.counter "serving_rejected_total"
+let m_occupancy = Metrics.histogram "serving_batch_occupancy"
 
 type policy = Prefill_priority | Decode_fair
 type engine = Legacy | Compiled
@@ -308,7 +308,7 @@ module Instance = struct
       (match inst.on_reject with
       | Some sink -> sink r
       | None -> inst.rejected_rev <- r :: inst.rejected_rev);
-      Metrics.incr (Lazy.force m_rejected)
+      Metrics.incr m_rejected
     end
     else begin
       (* A prefilled request costs this device only its remaining decode
@@ -414,7 +414,7 @@ module Instance = struct
       | _ -> continue := false
     done;
     if !joined > 0 then begin
-      Metrics.incr ~by:!joined (Lazy.force m_admitted);
+      Metrics.incr ~by:!joined m_admitted;
       note_peak inst
     end
 
@@ -470,9 +470,9 @@ module Instance = struct
       let input_len =
         List.fold_left (fun acc r -> max acc r.Trace.input_len) 1 admitted
       in
-      Metrics.incr (Lazy.force m_prefills);
-      Metrics.incr ~by:batch (Lazy.force m_admitted);
-      Metrics.observe (Lazy.force m_occupancy) (float_of_int batch);
+      Metrics.incr m_prefills;
+      Metrics.incr ~by:batch m_admitted;
+      Metrics.observe m_occupancy (float_of_int batch);
       let t =
         let step () = inst.stepper.prefill_s ~batch ~input_len in
         if not (Span.enabled ()) then step ()
@@ -514,8 +514,8 @@ module Instance = struct
       let context =
         List.fold_left (fun acc a -> acc + a.context) 0 batch_list / batch
       in
-      Metrics.incr (Lazy.force m_decodes);
-      Metrics.observe (Lazy.force m_occupancy) (float_of_int batch);
+      Metrics.incr m_decodes;
+      Metrics.observe m_occupancy (float_of_int batch);
       let t =
         let step () = inst.stepper.decode_s ~batch ~context in
         if not (Span.enabled ()) then step ()

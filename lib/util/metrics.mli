@@ -2,10 +2,12 @@
     histograms, with optional labels.
 
     Instrumented subsystems ({!Parallel}, the evaluation engine, the
-    serving simulator) register metrics lazily by name; registration is
-    get-or-create, so the handle returned for a given (name, labels) pair
-    is always the same underlying metric and increments from any module or
-    domain accumulate in one place. Counters and histogram buckets are
+    serving simulator) register their metrics by name at module
+    initialisation - not behind a [lazy], which raises
+    [CamlinternalLazy.Undefined] when two domains force it at once.
+    Registration is mutex-guarded get-or-create, so the handle returned
+    for a given (name, labels) pair is always the same underlying metric
+    and increments from any module or domain accumulate in one place. Counters and histogram buckets are
     atomics - safe and cheap to bump from worker domains; sums use a
     compare-and-set loop.
 

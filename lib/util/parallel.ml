@@ -10,11 +10,23 @@ let parse_jobs s =
   | Some _ | None ->
       invalid_arg "Parallel: ACS_JOBS must be a positive integer"
 
-let env_jobs =
-  lazy
-    (match Sys.getenv_opt "ACS_JOBS" with
-    | Some s -> parse_jobs s
-    | None -> max 1 (Domain.recommended_domain_count () - 1))
+(* The environment's job count, read on first use and cached. Not a
+   [lazy]: daemon worker domains ask for it concurrently, and two domains
+   forcing one lazy at once raise [CamlinternalLazy.Undefined]. A racing
+   first read just computes the same value twice; 0 means "not read". *)
+let env_jobs_cache = Atomic.make 0
+
+let env_jobs () =
+  match Atomic.get env_jobs_cache with
+  | 0 ->
+      let n =
+        match Sys.getenv_opt "ACS_JOBS" with
+        | Some s -> parse_jobs s
+        | None -> max 1 (Domain.recommended_domain_count () - 1)
+      in
+      Atomic.set env_jobs_cache n;
+      n
+  | n -> n
 
 (* [with_jobs] override. Domain-local state, not a shared ref: the
    documented contract is that the override is only visible to calls made
@@ -28,7 +40,7 @@ let forced_jobs : int option Domain.DLS.key =
 let jobs () =
   match Domain.DLS.get forced_jobs with
   | Some n -> n
-  | None -> Lazy.force env_jobs
+  | None -> env_jobs ()
 
 let with_jobs n f =
   if n < 1 then invalid_arg "Parallel.with_jobs: job count must be >= 1";
@@ -38,9 +50,9 @@ let with_jobs n f =
 
 (* --- observability --- *)
 
-let m_pool_size = lazy (Metrics.gauge "parallel_pool_size")
-let m_maps = lazy (Metrics.counter "parallel_maps_total")
-let m_chunks = lazy (Metrics.counter "parallel_chunks_total")
+let m_pool_size = Metrics.gauge "parallel_pool_size"
+let m_maps = Metrics.counter "parallel_maps_total"
+let m_chunks = Metrics.counter "parallel_chunks_total"
 
 let busy_gauge () =
   Metrics.gauge "parallel_busy_seconds"
@@ -56,6 +68,12 @@ let workers : unit Domain.t list ref = ref []
 let shutdown = ref false
 let teardown_registered = ref false
 
+(* A pool job never takes its worker down: the helpers [run_chunks]
+   submits already report failures to the mapping caller, so anything
+   escaping here is dropped rather than killing the domain - a dead
+   worker still counted in [worker_count] would leave later maps waiting
+   on helper jobs nobody runs. Should the loop end anyway, the count is
+   given back so [ensure_workers] replaces the domain. *)
 let worker_loop () =
   let rec next () =
     Mutex.lock pool_mutex;
@@ -66,11 +84,14 @@ let worker_loop () =
     else begin
       let job = Queue.pop pending in
       Mutex.unlock pool_mutex;
-      job ();
+      (try job () with _ -> ());
       next ()
     end
   in
-  next ()
+  Fun.protect next ~finally:(fun () ->
+      Mutex.lock pool_mutex;
+      decr worker_count;
+      Mutex.unlock pool_mutex)
 
 let ensure_workers n =
   Mutex.lock pool_mutex;
@@ -112,8 +133,8 @@ let run_chunks ~jobs ~chunk ~total process =
     done
   else begin
     ensure_workers helpers;
-    Metrics.incr (Lazy.force m_maps);
-    Metrics.set_gauge (Lazy.force m_pool_size) (float_of_int !worker_count);
+    Metrics.incr m_maps;
+    Metrics.set_gauge m_pool_size (float_of_int !worker_count);
     let next_chunk = Atomic.make 0 in
     let failure = Atomic.make None in
     let work () =
@@ -124,9 +145,12 @@ let run_chunks ~jobs ~chunk ~total process =
       let rec loop () =
         let c = Atomic.fetch_and_add next_chunk 1 in
         if c < n_chunks then begin
-          Metrics.incr (Lazy.force m_chunks);
+          (* Everything done for a claimed chunk sits inside the [try]:
+             a claimed chunk that raises unreported would leave its
+             result slot empty for the caller to trip over. *)
           (if Atomic.get failure = None then
              try
+               Metrics.incr m_chunks;
                let lo = c * chunk in
                process ~lo ~hi:(min total (lo + chunk) - 1) c
              with e ->

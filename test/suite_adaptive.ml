@@ -247,41 +247,6 @@ let t_refine_hook () =
 
 (* --- the disk tier --- *)
 
-let t_disk_roundtrip () =
-  with_cache_dir @@ fun dir ->
-  let s = fig6 in
-  let p = List.hd (Space.enumerate Space.oct2022) in
-  let d = List.hd (Eval.points s [ p ]) in
-  let c1 = Disk_cache.open_dir ~dir s in
-  Disk_cache.store c1 p d;
-  Alcotest.(check int) "one store" 1 (Disk_cache.stats c1).Disk_cache.stores;
-  let c2 = Disk_cache.open_dir ~dir s in
-  Alcotest.(check int) "reopen loads it" 1
-    (Disk_cache.stats c2).Disk_cache.loaded;
-  match Disk_cache.find c2 p with
-  | None -> Alcotest.fail "stored point not found after reopen"
-  | Some d' ->
-      Alcotest.(check int64) "ttft bits" (Int64.bits_of_float d.Design.ttft_s)
-        (Int64.bits_of_float d'.Design.ttft_s);
-      Alcotest.(check int64) "tbt bits" (Int64.bits_of_float d.Design.tbt_s)
-        (Int64.bits_of_float d'.Design.tbt_s);
-      Alcotest.(check bool) "whole design structurally equal" true (d = d')
-
-let t_disk_context_isolation () =
-  with_cache_dir @@ fun dir ->
-  let p = List.hd (Space.enumerate Space.oct2022) in
-  let d = List.hd (Eval.points fig6 [ p ]) in
-  let c1 = Disk_cache.open_dir ~dir fig6 in
-  Disk_cache.store c1 p d;
-  (* Same directory, different evaluation context: the gpt3 handle must
-     not see the llama3 entry. *)
-  let c2 = Disk_cache.open_dir ~dir fig6_gpt3 in
-  Alcotest.(check int) "other context loads nothing" 0
-    (Disk_cache.stats c2).Disk_cache.loaded;
-  Alcotest.(check int) "and skips nothing (entry is healthy)" 0
-    (Disk_cache.stats c2).Disk_cache.skipped;
-  Alcotest.(check bool) "find misses" true (Disk_cache.find c2 p = None)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -297,35 +262,90 @@ let entry_files dir =
   |> List.filter (fun n -> Filename.check_suffix n ".json")
   |> List.map (Filename.concat dir)
 
-let t_disk_crash_safety () =
+(* Store one point and return the file its record landed in. *)
+let store_one dir s p =
+  let before = entry_files dir in
+  let d = List.hd (Eval.points s [ p ]) in
+  Disk_cache.store (Disk_cache.open_dir ~dir s) p d;
+  match List.filter (fun f -> not (List.mem f before)) (entry_files dir) with
+  | [ f ] -> (d, f)
+  | fs -> Alcotest.failf "expected one new record, got %d" (List.length fs)
+
+let check_stats what (hits, stores, skipped) c =
+  let st = Disk_cache.stats c in
+  Alcotest.(check (list int)) what [ hits; stores; skipped ]
+    [ st.Disk_cache.hits; st.Disk_cache.stores; st.Disk_cache.skipped ]
+
+let check_same_design d d' =
+  Alcotest.(check int64) "ttft bits" (Int64.bits_of_float d.Design.ttft_s)
+    (Int64.bits_of_float d'.Design.ttft_s);
+  Alcotest.(check int64) "tbt bits" (Int64.bits_of_float d.Design.tbt_s)
+    (Int64.bits_of_float d'.Design.tbt_s);
+  Alcotest.(check bool) "whole design structurally equal" true (d = d')
+
+let t_disk_roundtrip () =
   with_cache_dir @@ fun dir ->
   let s = fig6 in
   let p = List.hd (Space.enumerate Space.oct2022) in
   let d = List.hd (Eval.points s [ p ]) in
   let c1 = Disk_cache.open_dir ~dir s in
   Disk_cache.store c1 p d;
-  let real = List.hd (entry_files dir) in
-  (* A torn write (truncated record) and outright garbage, both named
-     like cache entries. *)
-  let text = read_file real in
-  write_file
-    (Filename.concat dir "acs-truncated.json")
-    (String.sub text 0 (String.length text / 2));
-  write_file (Filename.concat dir "acs-garbage.json") "{ not json at all";
+  check_stats "one store" (0, 1, 0) c1;
   let c2 = Disk_cache.open_dir ~dir s in
-  Alcotest.(check int) "healthy entry still loads" 1
-    (Disk_cache.stats c2).Disk_cache.loaded;
-  Alcotest.(check int) "both bad records skipped, no exception" 2
-    (Disk_cache.stats c2).Disk_cache.skipped
+  check_stats "reopen reads nothing" (0, 0, 0) c2;
+  match Disk_cache.find c2 p with
+  | None -> Alcotest.fail "stored point not found after reopen"
+  | Some d' ->
+      check_same_design d d';
+      check_stats "one hit" (1, 0, 0) c2
+
+let t_disk_context_isolation () =
+  with_cache_dir @@ fun dir ->
+  let p = List.hd (Space.enumerate Space.oct2022) in
+  let _, llama_file = store_one dir fig6 p in
+  (* Same directory, different evaluation context: the gpt3 handle must
+     not see the llama3 entry... *)
+  let c2 = Disk_cache.open_dir ~dir fig6_gpt3 in
+  Alcotest.(check bool) "find misses" true (Disk_cache.find c2 p = None);
+  check_stats "and skips nothing" (0, 0, 0) c2;
+  (* ...even when the llama3 record sits at the gpt3 record's name (a
+     file-name collision): the record's own context is checked. *)
+  let _, gpt3_file = store_one dir fig6_gpt3 p in
+  write_file gpt3_file (read_file llama_file);
+  let c3 = Disk_cache.open_dir ~dir fig6_gpt3 in
+  Alcotest.(check bool) "foreign record is a miss" true
+    (Disk_cache.find c3 p = None);
+  check_stats "a healthy foreign record is not skipped" (0, 0, 0) c3
+
+let t_disk_crash_safety () =
+  with_cache_dir @@ fun dir ->
+  let s = fig6 in
+  let p1, p2, p3 =
+    match Space.enumerate Space.oct2022 with
+    | a :: b :: c :: _ -> (a, b, c)
+    | _ -> Alcotest.fail "sweep too small"
+  in
+  let _, f1 = store_one dir s p1 in
+  let _, f2 = store_one dir s p2 in
+  let d3, _ = store_one dir s p3 in
+  (* A torn write (truncated record) and outright garbage. *)
+  let text = read_file f1 in
+  write_file f1 (String.sub text 0 (String.length text / 2));
+  write_file f2 "{ not json at all";
+  let c = Disk_cache.open_dir ~dir s in
+  Alcotest.(check bool) "torn record is a miss" true (Disk_cache.find c p1 = None);
+  Alcotest.(check bool) "garbage record is a miss" true
+    (Disk_cache.find c p2 = None);
+  (match Disk_cache.find c p3 with
+  | Some d -> check_same_design d3 d
+  | None -> Alcotest.fail "healthy record no longer found");
+  check_stats "both bad records skipped, no exception" (1, 0, 2) c
 
 let t_disk_version_invalidation () =
   with_cache_dir @@ fun dir ->
   let s = fig6 in
   let p = List.hd (Space.enumerate Space.oct2022) in
-  let d = List.hd (Eval.points s [ p ]) in
-  let c1 = Disk_cache.open_dir ~dir s in
-  Disk_cache.store c1 p d;
-  let real = List.hd (entry_files dir) in
+  let _, real = store_one dir s p in
   let bumped =
     match Acs_util.Json.of_string (read_file real) with
     | Acs_util.Json.Obj members ->
@@ -339,11 +359,44 @@ let t_disk_version_invalidation () =
     | _ -> Alcotest.fail "cache record is not an object"
   in
   write_file real (Acs_util.Json.to_string bumped);
-  let c2 = Disk_cache.open_dir ~dir s in
-  Alcotest.(check int) "future-version entry not loaded" 0
-    (Disk_cache.stats c2).Disk_cache.loaded;
-  Alcotest.(check int) "counted as skipped" 1
-    (Disk_cache.stats c2).Disk_cache.skipped
+  let c = Disk_cache.open_dir ~dir s in
+  Alcotest.(check bool) "future-version entry not used" true
+    (Disk_cache.find c p = None);
+  check_stats "counted as skipped" (0, 0, 1) c
+
+let t_disk_open_reads_nothing () =
+  with_cache_dir @@ fun dir ->
+  let p = List.hd (Space.enumerate Space.oct2022) in
+  (* A directory full of trouble: another context's healthy records, a
+     corrupt one and stray garbage named like an entry. *)
+  let _, foreign = store_one dir fig6_gpt3 p in
+  ignore (store_one dir fig6_gpt3 (List.nth (Space.enumerate Space.oct2022) 1));
+  write_file foreign "{ torn";
+  write_file (Filename.concat dir "acs-garbage.json") "not json";
+  let c = Disk_cache.open_dir ~dir fig6 in
+  check_stats "open reads and skips nothing" (0, 0, 0) c;
+  (* A lookup reads only its own point's record, which does not exist. *)
+  Alcotest.(check bool) "miss" true (Disk_cache.find c p = None);
+  check_stats "still nothing skipped" (0, 0, 0) c
+
+let t_disk_corrupt_entry_healed () =
+  with_cache_dir @@ fun dir ->
+  let s = fig6 in
+  let p = List.hd (Space.enumerate Space.oct2022) in
+  let d, f = store_one dir s p in
+  write_file f "{\"version\": 1, \"context\": ";
+  let c = Disk_cache.open_dir ~dir s in
+  Alcotest.(check bool) "corrupt own entry is a miss" true
+    (Disk_cache.find c p = None);
+  check_stats "counted once" (0, 0, 1) c;
+  (* The caller treats the miss as cold: its store replaces the record. *)
+  Disk_cache.store c p d;
+  let c' = Disk_cache.open_dir ~dir s in
+  (match Disk_cache.find c' p with
+  | Some d' -> check_same_design d d'
+  | None -> Alcotest.fail "cold store did not heal the entry");
+  check_stats "healed" (1, 0, 0) c';
+  Alcotest.(check int) "one record file" 1 (List.length (entry_files dir))
 
 let t_disk_jobs_identity () =
   with_cache_dir @@ fun dir ->
@@ -396,4 +449,7 @@ let suite =
     test "disk cache skips corrupt records" t_disk_crash_safety;
     test "disk cache version bump invalidates" t_disk_version_invalidation;
     test "disk-warm run identical under 1 and 4 jobs" t_disk_jobs_identity;
+    test "disk cache open reads nothing" t_disk_open_reads_nothing;
+    test "disk cache corrupt entry: miss, then healed by a cold store"
+      t_disk_corrupt_entry_healed;
   ]

@@ -352,6 +352,86 @@ let t_stop_without_drain () =
   Alcotest.(check bool) "cut short" true (job.Jobq.status = Jobq.Cancelled);
   Alcotest.(check bool) "partial progress" true (job.Jobq.progress < job.Jobq.total)
 
+(* --- bounded job table and terminal events --- *)
+
+let t_finished_job_retention () =
+  (* One running and one queued job, then more one-off jobs finished
+     (cancelled while queued) than the table keeps: the oldest of those
+     is forgotten - 404 - while the running and queued jobs stay. *)
+  with_server ~workers:1 ~queue:4 ~throttle_s:0.05 @@ fun t socket ->
+  let submit salt n =
+    let r = Client.submit ~socket (Scenario.to_json (scenario ~salt n)) in
+    Alcotest.(check int) "queued 202" 202 r.Client.status;
+    j_int "id" r.Client.body
+  in
+  let running = submit 20 200 in
+  wait_for "first running" (fun () -> job_status ~socket running = "running");
+  let queued = submit 21 10 in
+  let extra = 2 in
+  let finished =
+    List.init (Jobq.retained_finished + extra) (fun _ ->
+        let id = submit 22 1 in
+        Alcotest.(check int) "cancelled" 200 (Client.cancel ~socket id).Client.status;
+        id)
+  in
+  List.iteri
+    (fun i id ->
+      let expect = if i < extra then 404 else 200 in
+      Alcotest.(check int)
+        (Printf.sprintf "finished job #%d of %d" (i + 1) (List.length finished))
+        expect (Client.job ~socket id).Client.status)
+    finished;
+  (* A finished job's event log is down to its terminal event. *)
+  (match Jobq.find (Server.queue t) (List.nth finished extra) with
+  | Some j -> Alcotest.(check int) "log shrunk" 1 (List.length j.Jobq.events)
+  | None -> Alcotest.fail "retained job not found");
+  Alcotest.(check string) "running job kept" "running" (job_status ~socket running);
+  Alcotest.(check string) "queued job kept" "queued" (job_status ~socket queued);
+  let listed = Json.to_list (Json.member "jobs" (Client.jobs ~socket).Client.body) in
+  Alcotest.(check int) "listing bounded" (Jobq.retained_finished + 2)
+    (List.length listed);
+  List.iter (fun id -> ignore (Client.cancel ~socket id)) [ queued; running ]
+
+let t_one_terminal_event_per_stream () =
+  (* Many concurrent streamed jobs: each stream must carry exactly one
+     terminal event, as its last event before the summary. *)
+  with_server ~workers:2 ~queue:64 @@ fun _t socket ->
+  let manifest i = Scenario.to_json (scenario ~salt:(30 + (i mod 3)) 4) in
+  let results = Array.make 24 None in
+  let threads =
+    List.init 4 (fun c ->
+        Thread.create
+          (fun () ->
+            for k = 0 to 5 do
+              let i = (6 * c) + k in
+              let events = ref [] in
+              let r =
+                Client.submit_wait ~socket
+                  ~on_event:(fun ev -> events := j_str "event" ev :: !events)
+                  (manifest i)
+              in
+              results.(i) <- Some (r, List.rev !events)
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun i -> function
+      | None -> Alcotest.failf "stream %d never returned" i
+      | Some ((r : Client.response), events) ->
+          Alcotest.(check string) "summary: done" "done" (j_str "status" r.Client.body);
+          let terminal = function "done" | "failed" | "cancelled" -> true | _ -> false in
+          Alcotest.(check int)
+            (Printf.sprintf "stream %d: one terminal event" i)
+            1 (List.length (List.filter terminal events));
+          Alcotest.(check string)
+            (Printf.sprintf "stream %d: whole log, queued first" i)
+            "queued" (List.hd events);
+          Alcotest.(check string)
+            (Printf.sprintf "stream %d: terminal event last" i)
+            "done" (List.nth events (List.length events - 1)))
+    results
+
 (* --- queue unit behaviour (no sockets) --- *)
 
 let t_jobq_bounds () =
@@ -399,4 +479,7 @@ let suite =
     test "graceful drain finishes queued jobs" t_graceful_drain;
     test "stop without drain cuts running jobs" t_stop_without_drain;
     test "job queue bounds and draining" t_jobq_bounds;
+    test "finished jobs beyond the retention bound are dropped"
+      t_finished_job_retention;
+    test "every stream carries one terminal event" t_one_terminal_event_per_stream;
   ]

@@ -236,6 +236,82 @@ let t_cache_shares_context () =
   Alcotest.(check int) "warm run evaluates nothing" 0
     (s2.Eval.evaluations - s1.Eval.evaluations)
 
+(* The memo holds at most 4096 entries (16 shards of 256) and evicts by
+   CLOCK: a hot set that keeps being hit outlives any number of one-off
+   inserts, the one-off entries make way, and an evicted design
+   re-evaluates bit for bit. *)
+let t_memo_bounded_clock () =
+  Eval.clear ();
+  Fun.protect ~finally:Eval.clear @@ fun () ->
+  let fig6 = Option.get (Scenario.find "fig6-llama3") in
+  let points =
+    match fig6.Scenario.target with
+    | Scenario.Space sw -> Space.enumerate sw
+    | Scenario.Point _ -> Alcotest.fail "fig6 is a sweep"
+  in
+  let hot = List.filteri (fun i _ -> i < 256) points in
+  let victims = List.filteri (fun i _ -> i >= 256) points in
+  let hot_designs = Eval.points fig6 hot in
+  let victim_designs = Eval.points fig6 victims in
+  let evictions = Metrics.counter "dse_cache_evictions_total" in
+  let ev0 = Metrics.counter_value evictions in
+  (* 12 filler contexts of 512 one-off entries each - 6144 inserts, half
+     again the cap - seeded with a stand-in design (never read back: the
+     contexts are unique to this test and cleared at the end). Between
+     fillers the hot set is re-read and must be answered entirely from
+     the memo. *)
+  let filler i =
+    Scenario.make ~name:"" ~model:fig6.Scenario.model
+      ~tpp_target:(1000.25 +. float_of_int i) (Scenario.Space Space.oct2022)
+  in
+  let stand_in = List.hd hot_designs in
+  for i = 1 to 12 do
+    let f = filler i in
+    List.iter (fun p -> Eval.seed f p stand_in) points;
+    let before = (Eval.stats ()).Eval.evaluations in
+    let again = Eval.points fig6 hot in
+    Alcotest.(check int)
+      (Printf.sprintf "hot set all memo hits after filler %d" i)
+      0 ((Eval.stats ()).Eval.evaluations - before);
+    if not (List.for_all2 ( == ) again hot_designs) then
+      Alcotest.fail "hot set served different values"
+  done;
+  let inserted = 512 + (12 * 512) in
+  let evicted = Metrics.counter_value evictions - ev0 in
+  (* Per shard, evictions = max 0 (inserted - 256): at least the overflow
+     of the 4096-entry total, at most every insert. *)
+  if evicted < inserted - 4096 || evicted > inserted then
+    Alcotest.failf "evictions %d outside [%d, %d]" evicted (inserted - 4096)
+      inserted;
+  let resident =
+    List.length (List.filter (Eval.probe fig6) points)
+    + List.fold_left
+        (fun n i ->
+          n + List.length (List.filter (Eval.probe (filler i)) points))
+        0 (List.init 12 (fun i -> i + 1))
+  in
+  if resident > 4096 then Alcotest.failf "memo holds %d > 4096 entries" resident;
+  let evicted_victims =
+    List.filter (fun p -> not (Eval.probe fig6 p)) victims
+  in
+  Alcotest.(check bool) "one-off entries were evicted" true
+    (evicted_victims <> []);
+  let before = (Eval.stats ()).Eval.evaluations in
+  let again = Eval.points fig6 victims in
+  Alcotest.(check int) "evicted points re-evaluated"
+    (List.length evicted_victims)
+    ((Eval.stats ()).Eval.evaluations - before);
+  List.iter2
+    (fun (d : Design.t) (d' : Design.t) ->
+      if
+        Int64.bits_of_float d.Design.ttft_s
+        <> Int64.bits_of_float d'.Design.ttft_s
+        || Int64.bits_of_float d.Design.tbt_s
+           <> Int64.bits_of_float d'.Design.tbt_s
+        || d <> d'
+      then Alcotest.fail "re-evaluated design differs from the original")
+    victim_designs again
+
 (* --- registry scenarios vs the legacy optional-argument API --- *)
 
 let t_registry_matches_legacy () =
@@ -296,4 +372,5 @@ let suite =
     test "registry scenario == legacy sweep" t_registry_matches_legacy;
     test "design csv row shape" t_csv_row_shape;
     test "bench matches models by name" t_model_matching_by_name;
+    test "memo bounded: CLOCK keeps the hot set" t_memo_bounded_clock;
   ]
