@@ -111,19 +111,23 @@ type fleet_stats = {
    stepper's shape memo is a plain hash table, and private tables are
    what lets the drain and the epoch advance run nodes on separate
    domains without synchronization (the memo is pure, so per-node tables
-   change cost, not results). Routing happens in global arrival order;
-   in the materialized path candidates are advanced to the arrival time
-   first, so load signals reflect what each device will have finished by
-   then. Stepping is otherwise deferred to the drain - per-instance
-   schedules depend only on the submitted set and order, so this is
-   equivalent to a synchronous co-simulation (and makes a 1-group fleet
-   reproduce {!Simulator.run} exactly). *)
+   change cost, not results). Routing happens in global arrival order.
+   An advancing router ({!run}) steps every candidate to the arrival time
+   before pricing it, so load signals reflect what each device will have
+   finished by then; a non-advancing one ({!run_stream}) must not step
+   nodes itself - the epoch rounds do that in parallel - so it prices with
+   signals as of the last epoch boundary. Round-robin reads no signal and
+   is unaffected. Stepping is otherwise deferred to the drain -
+   per-instance schedules depend only on the submitted set and order, so
+   this is equivalent to a synchronous co-simulation (and makes a 1-group
+   fleet reproduce {!Simulator.run} exactly). *)
 
 type node = { inst : Simulator.Instance.t; stepper : Simulator.stepper }
 
 type router = {
   nodes : node array;
   routing : routing;
+  advance : bool;  (** step candidates to each arrival before pricing *)
   mutable cursor : int;
 }
 
@@ -143,17 +147,11 @@ let est_service_s (st : Simulator.stepper) ~prefilled (r : Trace.request) =
     +. float_of_int decode_tokens
        *. st.Simulator.decode_s ~batch:1 ~context:r.Trace.input_len
 
-(* [advance_to_arrival:false] is the streaming fleet's router: it must not
-   step nodes itself (the epoch rounds do that in parallel), so
-   least-loaded/phase-affine decisions price with signals as of the last
-   epoch boundary instead of the exact arrival instant. Round-robin is
-   unaffected. *)
-let dispatch ?(advance_to_arrival = true) router ~prefilled
-    (r : Trace.request) =
+let dispatch router ~prefilled (r : Trace.request) =
   let nodes = router.nodes in
   let n = Array.length nodes in
   let advance () =
-    if advance_to_arrival then
+    if router.advance then
       Array.iter
         (fun nd -> Simulator.Instance.run_until nd.inst r.Trace.arrival_s)
         nodes
@@ -195,7 +193,7 @@ let dispatch ?(advance_to_arrival = true) router ~prefilled
   Simulator.Instance.submit ~prefilled chosen.inst r;
   Metrics.incr m_routed
 
-(* --- the fleet run --- *)
+(* --- the fleet loop --- *)
 
 let by_arrival (a : Trace.request) (b : Trace.request) =
   compare a.Trace.arrival_s b.Trace.arrival_s
@@ -253,270 +251,8 @@ let advance_nodes nodes horizon =
        (fun nd -> Simulator.Instance.run_until nd.inst horizon)
        nodes)
 
-let run_fleet ?calib (t : t) model requests =
-  if requests = [] then invalid_arg "Cluster.run: empty trace";
-  let requests = List.stable_sort by_arrival requests in
-  let originals : (int, Trace.request) Hashtbl.t =
-    Hashtbl.create (List.length requests)
-  in
-  List.iter
-    (fun (r : Trace.request) ->
-      if Hashtbl.mem originals r.Trace.id then
-        invalid_arg
-          (Printf.sprintf
-             "Cluster.run: duplicate request id %d (ids key the \
-              prefill-to-decode handoff match)"
-             r.Trace.id);
-      Hashtbl.add originals r.Trace.id r)
-    requests;
-  let pools_nodes = make_nodes ?calib t model in
-  let nodes_of_role want =
-    Array.concat
-      (List.filter_map
-         (fun (p, nds) -> if p.role = want then Some nds else None)
-         pools_nodes)
-  in
-  let all_nodes = Array.concat (List.map snd pools_nodes) in
-  let drain = drain_nodes in
-  let handoff_transfers = ref 0 in
-  let handoff_bytes = ref 0. in
-  let handoff_seconds = ref 0. in
-  (* Merged per-original outcomes and rejects, in whatever order the
-     phases produce them; sorted once at the end. *)
-  let merged : Simulator.request_outcome list ref = ref [] in
-  let rejected : Trace.request list ref = ref [] in
-  if not (disaggregated t) then begin
-    let router = { nodes = all_nodes; routing = t.routing; cursor = 0 } in
-    List.iter (dispatch router ~prefilled:false) requests;
-    drain all_nodes;
-    Array.iter
-      (fun nd ->
-        let s = Simulator.Instance.stats nd.inst in
-        merged := s.Simulator.outcomes @ !merged;
-        rejected := s.Simulator.rejected @ !rejected)
-      all_nodes
-  end
-  else begin
-    let bw = handoff_bytes_per_s t in
-    if (not (Float.is_finite bw)) || bw <= 0. then
-      invalid_arg
-        "Cluster.run: fleet has no positive interconnect bandwidth for the \
-         KV handoff; pass ~handoff_gb_s";
-    let p_nodes = nodes_of_role Prefill and d_nodes = nodes_of_role Decode in
-    let p_router = { nodes = p_nodes; routing = t.routing; cursor = 0 } in
-    (* Phase 1: every request runs prefill (plus its first token) on the
-       prefill side. *)
-    List.iter
-      (fun (r : Trace.request) ->
-        dispatch p_router ~prefilled:false { r with Trace.output_len = 1 })
-      requests;
-    drain p_nodes;
-    let prefill_outcome : (int, Simulator.request_outcome) Hashtbl.t =
-      Hashtbl.create (List.length requests)
-    in
-    let decode_reqs = ref [] in
-    Array.iter
-      (fun nd ->
-        let s = Simulator.Instance.stats nd.inst in
-        List.iter
-          (fun (r : Trace.request) ->
-            rejected := Hashtbl.find originals r.Trace.id :: !rejected)
-          s.Simulator.rejected;
-        List.iter
-          (fun (o : Simulator.request_outcome) ->
-            let orig = Hashtbl.find originals o.Simulator.request.Trace.id in
-            Hashtbl.add prefill_outcome orig.Trace.id o;
-            if orig.Trace.output_len <= 1 then
-              (* Nothing left to decode: the prefill outcome is the whole
-                 request. *)
-              merged :=
-                {
-                  Simulator.request = orig;
-                  ttft_s = o.Simulator.ttft_s;
-                  tbt_s = 0.;
-                  finish_s = o.Simulator.finish_s;
-                }
-                :: !merged
-            else begin
-              (* Ship the KV and re-arrive on the decode side after the
-                 transfer; the one prefill token is already in the
-                 context, so the decode sub-request carries the remaining
-                 output. *)
-              let bytes = handoff_kv_bytes model ~input_len:orig.Trace.input_len in
-              let transfer = bytes /. bw in
-              incr handoff_transfers;
-              handoff_bytes := !handoff_bytes +. bytes;
-              handoff_seconds := !handoff_seconds +. transfer;
-              Metrics.incr m_handoffs;
-              Metrics.observe m_handoff_s transfer;
-              decode_reqs :=
-                {
-                  orig with
-                  Trace.arrival_s = o.Simulator.finish_s +. transfer;
-                  input_len = orig.Trace.input_len + 1;
-                  output_len = orig.Trace.output_len - 1;
-                }
-                :: !decode_reqs
-            end)
-          s.Simulator.outcomes)
-      p_nodes;
-    (* Phase 2: decode-side continuation, arrivals in handoff order. *)
-    let d_router = { nodes = d_nodes; routing = t.routing; cursor = 0 } in
-    List.iter
-      (dispatch d_router ~prefilled:true)
-      (List.sort by_arrival_id !decode_reqs);
-    drain d_nodes;
-    Array.iter
-      (fun nd ->
-        let s = Simulator.Instance.stats nd.inst in
-        List.iter
-          (fun (r : Trace.request) ->
-            rejected := Hashtbl.find originals r.Trace.id :: !rejected)
-          s.Simulator.rejected;
-        List.iter
-          (fun (o : Simulator.request_outcome) ->
-            let orig = Hashtbl.find originals o.Simulator.request.Trace.id in
-            let p = Hashtbl.find prefill_outcome orig.Trace.id in
-            let rest = orig.Trace.output_len - 1 in
-            merged :=
-              {
-                Simulator.request = orig;
-                (* First token came off the prefill side; everything
-                   after it - transfer, decode queueing, decode steps -
-                   spreads over the remaining tokens. *)
-                ttft_s = p.Simulator.ttft_s;
-                tbt_s =
-                  (o.Simulator.finish_s -. p.Simulator.finish_s)
-                  /. float_of_int rest;
-                finish_s = o.Simulator.finish_s;
-              }
-              :: !merged)
-          s.Simulator.outcomes)
-      d_nodes
-  end;
-  (* --- aggregate --- *)
-  let outcomes =
-    List.sort
-      (fun (a : Simulator.request_outcome) (b : Simulator.request_outcome) ->
-        compare
-          (a.Simulator.finish_s, a.Simulator.request.Trace.id)
-          (b.Simulator.finish_s, b.Simulator.request.Trace.id))
-      !merged
-  in
-  let rejected = List.sort by_arrival_id !rejected in
-  let stats_by_pool =
-    List.map
-      (fun (p, nds) ->
-        (p, Array.map (fun nd -> Simulator.Instance.stats nd.inst) nds))
-      pools_nodes
-  in
-  let makespan_s =
-    List.fold_left
-      (fun acc (_, sts) ->
-        Array.fold_left
-          (fun acc s -> Float.max acc s.Simulator.makespan_s)
-          acc sts)
-      0. stats_by_pool
-  in
-  let first_arrival = (List.hd requests).Trace.arrival_s in
-  let span = makespan_s -. first_arrival in
-  let span = if span > 0. && Float.is_finite span then span else 0. in
-  let pools =
-    List.map
-      (fun (p, sts) ->
-        let sum f = Array.fold_left (fun acc s -> acc + f s) 0 sts in
-        let busy =
-          Array.fold_left (fun acc s -> acc +. s.Simulator.busy_s) 0. sts
-        in
-        let occ_weighted =
-          Array.fold_left
-            (fun acc s ->
-              acc +. (s.Simulator.mean_batch_occupancy *. s.Simulator.busy_s))
-            0. sts
-        in
-        {
-          pool_name = p.name;
-          pool_role = p.role;
-          pool_count = p.count;
-          per_group = sts;
-          pool_completed = sum (fun s -> List.length s.Simulator.outcomes);
-          pool_rejected = sum (fun s -> List.length s.Simulator.rejected);
-          pool_produced_tokens = sum (fun s -> s.Simulator.produced_tokens);
-          utilization =
-            (if span > 0. then busy /. (float_of_int p.count *. span) else 0.);
-          occupancy = (if busy > 0. then occ_weighted /. busy else 0.);
-        })
-      stats_by_pool
-  in
-  let generated_tokens =
-    List.fold_left
-      (fun acc (o : Simulator.request_outcome) ->
-        acc + o.Simulator.request.Trace.output_len)
-      0 outcomes
-  in
-  let produced_tokens =
-    List.fold_left (fun acc ps -> acc + ps.pool_produced_tokens) 0 pools
-  in
-  let completed = List.length outcomes in
-  let ttfts = List.map (fun (o : Simulator.request_outcome) -> o.Simulator.ttft_s) outcomes in
-  let ttfts = if ttfts = [] then [ 0. ] else ttfts in
-  let tbts =
-    List.filter_map
-      (fun (o : Simulator.request_outcome) ->
-        if o.Simulator.tbt_s > 0. then Some o.Simulator.tbt_s else None)
-      outcomes
-  in
-  let tbts = if tbts = [] then [ 0. ] else tbts in
-  {
-    outcomes;
-    rejected;
-    completed;
-    rejected_count = List.length rejected;
-    slo_attained = None;
-    pools;
-    groups = Array.length all_nodes;
-    makespan_s;
-    serving_span_s = span;
-    generated_tokens;
-    produced_tokens;
-    throughput_tokens_per_s =
-      (if span > 0. then float_of_int generated_tokens /. span else 0.);
-    requests_per_s =
-      (if span > 0. then float_of_int completed /. span else 0.);
-    p50_ttft_s = Stats.percentile 50. ttfts;
-    p95_ttft_s = Stats.percentile 95. ttfts;
-    p50_tbt_s = Stats.percentile 50. tbts;
-    p95_tbt_s = Stats.percentile 95. tbts;
-    handoff_transfers = !handoff_transfers;
-    handoff_bytes = !handoff_bytes;
-    mean_handoff_s =
-      (if !handoff_transfers > 0 then
-         !handoff_seconds /. float_of_int !handoff_transfers
-       else 0.);
-  }
-
-let run ?calib (t : t) model requests =
-  if not (Span.enabled ()) then run_fleet ?calib t model requests
-  else
-    Span.with_span "fleet.run"
-      ~attrs:
-        [ ("pools", Span.Int (List.length t.pools));
-          ( "groups",
-            Span.Int (List.fold_left (fun acc p -> acc + p.count) 0 t.pools) );
-          ("routing", Span.Str (routing_to_string t.routing));
-          ("disaggregated", Span.Str (string_of_bool (disaggregated t)));
-          ("requests", Span.Int (List.length requests)) ]
-      (fun () ->
-        let s = run_fleet ?calib t model requests in
-        Span.add_attr "generated_tokens" (Span.Int s.generated_tokens);
-        Span.add_attr "makespan_s" (Span.Float s.makespan_s);
-        s)
-
-(* --- the streaming fleet run ---
-
-   Bounded-memory, domain-parallel execution for traces far too large to
-   materialize. The router thread alternates two phases in rounds of
-   [epoch] requests:
+(* One loop serves both entry points. The router thread alternates two
+   phases in rounds of [epoch] requests:
 
    - routing: pull the next [epoch] requests off the stream and submit
      them (sequentially, in arrival order - submission order is the FCFS
@@ -526,17 +262,27 @@ let run ?calib (t : t) model requests =
      scheduler between routing decisions), then fold each node's freshly
      finished outcomes - delivered through instance sinks into per-node
      buffers - into online accumulators, walking nodes in fixed array
-     order.
+     order. Disaggregated fleets run the prefill side, ship finished
+     prefills' KV, and dispatch the handoffs that can no longer be
+     preceded to the decode side before advancing it.
+
+   [materialized] is the one switch between the two semantics. {!run}
+   sets it and passes an epoch at least the trace length, so the whole
+   trace routes in one round through advancing routers, and instances
+   retain their outcome and reject lists for whole per-group stats.
+   {!run_stream} clears it: routers price at epoch boundaries and
+   instances retain nothing. Either way every merged original outcome and
+   reject is handed to [on_outcome]/[on_reject] as it is folded.
 
    Determinism: node executions depend only on their submitted sets (the
    router fixes those before any parallel work), and the merge walks
    nodes in array order on the calling domain, so every accumulated
    float sees the same operands in the same order whatever the job
-   count - 1-job and N-job runs are bit-identical. Peak memory is
-   O(groups * (resident batch + backlog) + epoch + sketch), independent
-   of trace length. *)
+   count - 1-job and N-job runs are bit-identical. Streamed, peak memory
+   is O(groups * (resident batch + backlog) + epoch + sketch),
+   independent of trace length. *)
 
-type stream_acc = {
+type acc = {
   acc_ttft : Stats.Online.t;
   acc_tbt : Stats.Online.t;
   mutable acc_completed : int;
@@ -544,18 +290,29 @@ type stream_acc = {
   mutable acc_rejected : int;
   mutable acc_slo_ok : int;
   slo : (float * float) option;
+  on_outcome : Simulator.request_outcome -> unit;
+  on_reject : Trace.request -> unit;
 }
 
-let note_outcome acc ~(orig : Trace.request) ~ttft ~tbt =
+(* [o] is a merged outcome: its request is the original. *)
+let note_outcome acc (o : Simulator.request_outcome) =
+  let orig = o.Simulator.request in
   acc.acc_completed <- acc.acc_completed + 1;
   acc.acc_generated <- acc.acc_generated + orig.Trace.output_len;
-  Stats.Online.add acc.acc_ttft ttft;
-  if tbt > 0. then Stats.Online.add acc.acc_tbt tbt;
-  match acc.slo with
+  Stats.Online.add acc.acc_ttft o.Simulator.ttft_s;
+  if o.Simulator.tbt_s > 0. then Stats.Online.add acc.acc_tbt o.Simulator.tbt_s;
+  (match acc.slo with
   | Some (slo_ttft, slo_tbt) ->
-      if ttft <= slo_ttft && (orig.Trace.output_len <= 1 || tbt <= slo_tbt)
+      if
+        o.Simulator.ttft_s <= slo_ttft
+        && (orig.Trace.output_len <= 1 || o.Simulator.tbt_s <= slo_tbt)
       then acc.acc_slo_ok <- acc.acc_slo_ok + 1
-  | None -> ()
+  | None -> ());
+  acc.on_outcome o
+
+let note_reject acc orig =
+  acc.acc_rejected <- acc.acc_rejected + 1;
+  acc.on_reject orig
 
 (* Per-node capture buffers fed by the instance sinks. A sink runs on
    whichever domain steps its node and touches only that node's buffer;
@@ -565,11 +322,11 @@ type capture = {
   c_rej : Trace.request list ref;
 }
 
-let attach_captures nodes =
+let attach_captures ~retain nodes =
   Array.map
     (fun nd ->
       let c = { c_out = ref []; c_rej = ref [] } in
-      Simulator.Instance.set_sinks
+      Simulator.Instance.set_sinks ~retain
         ~on_outcome:(fun o -> c.c_out := o :: !(c.c_out))
         ~on_reject:(fun r -> c.c_rej := r :: !(c.c_rej))
         nd.inst;
@@ -582,14 +339,20 @@ let take_buffer buf =
   buf := [];
   l
 
-let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
-  if epoch < 1 then invalid_arg "Cluster.run_stream: epoch must be >= 1";
-  (match slo with
-  | Some (ttft, tbt) when ttft <= 0. || tbt <= 0. ->
-      invalid_arg "Cluster.run_stream: SLO objectives must be positive"
-  | _ -> ());
+let simulate ?calib ~materialized ~epoch ?slo ~on_outcome ~on_reject (t : t)
+    model stream =
+  let who = if materialized then "Cluster.run" else "Cluster.run_stream" in
   let pools_nodes = make_nodes ?calib t model in
   let all_nodes = Array.concat (List.map snd pools_nodes) in
+  let nodes_of_role want =
+    Array.concat
+      (List.filter_map
+         (fun (p, nds) -> if p.role = want then Some nds else None)
+         pools_nodes)
+  in
+  let router nodes =
+    { nodes; routing = t.routing; advance = materialized; cursor = 0 }
+  in
   let acc =
     {
       acc_ttft = Stats.Online.create ();
@@ -599,6 +362,8 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
       acc_rejected = 0;
       acc_slo_ok = 0;
       slo;
+      on_outcome;
+      on_reject;
     }
   in
   let handoff_transfers = ref 0 in
@@ -607,7 +372,7 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
   let pending = ref (Trace.next stream) in
   let first_arrival =
     match !pending with
-    | None -> invalid_arg "Cluster.run_stream: empty trace"
+    | None -> invalid_arg (who ^ ": empty trace")
     | Some r -> r.Trace.arrival_s
   in
   (* Pull and submit up to [epoch] requests through [submit_one]; leaves
@@ -626,25 +391,17 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
     done
   in
   if not (disaggregated t) then begin
-    let captures = attach_captures all_nodes in
-    let router = { nodes = all_nodes; routing = t.routing; cursor = 0 } in
+    let captures = attach_captures ~retain:materialized all_nodes in
+    let router = router all_nodes in
     let merge_round () =
-      Array.iteri
-        (fun i _nd ->
-          List.iter
-            (fun (o : Simulator.request_outcome) ->
-              note_outcome acc ~orig:o.Simulator.request
-                ~ttft:o.Simulator.ttft_s ~tbt:o.Simulator.tbt_s)
-            (take_buffer captures.(i).c_out);
-          List.iter
-            (fun (_ : Trace.request) ->
-              acc.acc_rejected <- acc.acc_rejected + 1)
-            (take_buffer captures.(i).c_rej))
-        all_nodes
+      Array.iter
+        (fun c ->
+          List.iter (note_outcome acc) (take_buffer c.c_out);
+          List.iter (note_reject acc) (take_buffer c.c_rej))
+        captures
     in
     while !pending <> None do
-      route_round (fun r ->
-          dispatch ~advance_to_arrival:false router ~prefilled:false r);
+      route_round (dispatch router ~prefilled:false);
       (match !pending with
       | Some next -> advance_nodes all_nodes next.Trace.arrival_s
       | None -> drain_nodes all_nodes);
@@ -655,24 +412,13 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
     let bw = handoff_bytes_per_s t in
     if (not (Float.is_finite bw)) || bw <= 0. then
       invalid_arg
-        "Cluster.run_stream: fleet has no positive interconnect bandwidth \
-         for the KV handoff; pass ~handoff_gb_s";
-    let p_nodes =
-      Array.concat
-        (List.filter_map
-           (fun (p, nds) -> if p.role = Prefill then Some nds else None)
-           pools_nodes)
-    in
-    let d_nodes =
-      Array.concat
-        (List.filter_map
-           (fun (p, nds) -> if p.role = Decode then Some nds else None)
-           pools_nodes)
-    in
-    let p_captures = attach_captures p_nodes in
-    let d_captures = attach_captures d_nodes in
-    let p_router = { nodes = p_nodes; routing = t.routing; cursor = 0 } in
-    let d_router = { nodes = d_nodes; routing = t.routing; cursor = 0 } in
+        (who
+       ^ ": fleet has no positive interconnect bandwidth for the KV \
+          handoff; pass ~handoff_gb_s");
+    let p_nodes = nodes_of_role Prefill and d_nodes = nodes_of_role Decode in
+    let p_captures = attach_captures ~retain:materialized p_nodes in
+    let d_captures = attach_captures ~retain:materialized d_nodes in
+    let p_router = router p_nodes and d_router = router d_nodes in
     (* In-flight bookkeeping, bounded by resident requests: the original
        request while its prefill runs, then (original, prefill ttft,
        prefill finish) while its decode continuation runs. *)
@@ -683,28 +429,35 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
       Hashtbl.create 1024
     in
     (* Completed prefills waiting to re-arrive on the decode side, keyed
-       (arrival after transfer, id): the min-heap replaces the
-       sort-the-whole-phase step of the materialized path and holds only
-       in-flight handoffs. *)
+       (arrival after transfer, id): the min-heap holds only in-flight
+       handoffs and pops them in dispatch order. *)
     let ready : (float * int, Trace.request * float * float) Heap.t =
       Heap.create ~cmp:compare
     in
     let merge_prefill_round () =
-      Array.iteri
-        (fun i _nd ->
+      Array.iter
+        (fun c ->
           List.iter
             (fun (r : Trace.request) ->
+              let orig = Hashtbl.find pending_prefill r.Trace.id in
               Hashtbl.remove pending_prefill r.Trace.id;
-              acc.acc_rejected <- acc.acc_rejected + 1)
-            (take_buffer p_captures.(i).c_rej);
+              note_reject acc orig)
+            (take_buffer c.c_rej);
           List.iter
             (fun (o : Simulator.request_outcome) ->
               let id = o.Simulator.request.Trace.id in
               let orig = Hashtbl.find pending_prefill id in
               Hashtbl.remove pending_prefill id;
               if orig.Trace.output_len <= 1 then
-                note_outcome acc ~orig ~ttft:o.Simulator.ttft_s ~tbt:0.
+                (* Nothing left to decode: the prefill outcome is the
+                   whole request. *)
+                note_outcome acc
+                  { o with Simulator.request = orig; tbt_s = 0. }
               else begin
+                (* Ship the KV and re-arrive on the decode side after the
+                   transfer; the one prefill token is already in the
+                   context, so the decode sub-request carries the
+                   remaining output. *)
                 let bytes =
                   handoff_kv_bytes model ~input_len:orig.Trace.input_len
                 in
@@ -718,34 +471,42 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
                   (o.Simulator.finish_s +. transfer, id)
                   (orig, o.Simulator.ttft_s, o.Simulator.finish_s)
               end)
-            (take_buffer p_captures.(i).c_out))
-        p_nodes
+            (take_buffer c.c_out))
+        p_captures
     in
     let merge_decode_round () =
-      Array.iteri
-        (fun i _nd ->
+      Array.iter
+        (fun c ->
           List.iter
             (fun (r : Trace.request) ->
+              let orig, _, _ = Hashtbl.find pending_decode r.Trace.id in
               Hashtbl.remove pending_decode r.Trace.id;
-              acc.acc_rejected <- acc.acc_rejected + 1)
-            (take_buffer d_captures.(i).c_rej);
+              note_reject acc orig)
+            (take_buffer c.c_rej);
           List.iter
             (fun (o : Simulator.request_outcome) ->
               let id = o.Simulator.request.Trace.id in
               let orig, p_ttft, p_finish = Hashtbl.find pending_decode id in
               Hashtbl.remove pending_decode id;
-              let rest = orig.Trace.output_len - 1 in
-              note_outcome acc ~orig ~ttft:p_ttft
-                ~tbt:
-                  ((o.Simulator.finish_s -. p_finish) /. float_of_int rest))
-            (take_buffer d_captures.(i).c_out))
-        d_nodes
+              (* First token came off the prefill side; everything after
+                 it - transfer, decode queueing, decode steps - spreads
+                 over the remaining tokens. *)
+              note_outcome acc
+                {
+                  Simulator.request = orig;
+                  ttft_s = p_ttft;
+                  tbt_s =
+                    (o.Simulator.finish_s -. p_finish)
+                    /. float_of_int (orig.Trace.output_len - 1);
+                  finish_s = o.Simulator.finish_s;
+                })
+            (take_buffer c.c_out))
+        d_captures
     in
     (* Dispatch every completed handoff that can no longer be preceded:
        once all prefill nodes have advanced to [watermark], any future
        completion finishes strictly after it, so heap entries at or below
-       the watermark are final and pop in global (arrival, id) order -
-       exactly the sorted dispatch order of the materialized path. *)
+       the watermark are final and pop in global (arrival, id) order. *)
     let dispatch_ready watermark =
       let continue = ref true in
       while !continue do
@@ -754,7 +515,7 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
             match Heap.pop ready with
             | Some ((arr, id), (orig, p_ttft, p_finish)) ->
                 Hashtbl.replace pending_decode id (orig, p_ttft, p_finish);
-                dispatch ~advance_to_arrival:false d_router ~prefilled:true
+                dispatch d_router ~prefilled:true
                   {
                     orig with
                     Trace.arrival_s = arr;
@@ -770,12 +531,11 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
           if Hashtbl.mem pending_prefill r.Trace.id then
             invalid_arg
               (Printf.sprintf
-                 "Cluster.run_stream: duplicate request id %d (ids key the \
-                  prefill-to-decode handoff match)"
-                 r.Trace.id);
+                 "%s: duplicate request id %d (ids key the prefill-to-decode \
+                  handoff match)"
+                 who r.Trace.id);
           Hashtbl.replace pending_prefill r.Trace.id r;
-          dispatch ~advance_to_arrival:false p_router ~prefilled:false
-            { r with Trace.output_len = 1 });
+          dispatch p_router ~prefilled:false { r with Trace.output_len = 1 });
       match !pending with
       | Some next ->
           let horizon = next.Trace.arrival_s in
@@ -879,6 +639,85 @@ let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
          !handoff_seconds /. float_of_int !handoff_transfers
        else 0.);
   }
+
+(* --- the two entry points --- *)
+
+let run_list ?calib (t : t) model requests =
+  if requests = [] then invalid_arg "Cluster.run: empty trace";
+  let requests = List.stable_sort by_arrival requests in
+  let ids : (int, unit) Hashtbl.t = Hashtbl.create (List.length requests) in
+  List.iter
+    (fun (r : Trace.request) ->
+      if Hashtbl.mem ids r.Trace.id then
+        invalid_arg
+          (Printf.sprintf
+             "Cluster.run: duplicate request id %d (ids key the \
+              prefill-to-decode handoff match)"
+             r.Trace.id);
+      Hashtbl.add ids r.Trace.id ())
+    requests;
+  let outcomes = ref [] and rejected = ref [] in
+  let fs =
+    simulate ?calib ~materialized:true ~epoch:max_int
+      ~on_outcome:(fun o -> outcomes := o :: !outcomes)
+      ~on_reject:(fun r -> rejected := r :: !rejected)
+      t model (Trace.of_list requests)
+  in
+  let outcomes =
+    List.sort
+      (fun (a : Simulator.request_outcome) (b : Simulator.request_outcome) ->
+        compare
+          (a.Simulator.finish_s, a.Simulator.request.Trace.id)
+          (b.Simulator.finish_s, b.Simulator.request.Trace.id))
+      !outcomes
+  in
+  (* Exact interpolated percentiles over the kept outcomes, in place of
+     the loop's sketches. *)
+  let pct p = function [] -> 0. | xs -> Stats.percentile p xs in
+  let ttfts =
+    List.map (fun (o : Simulator.request_outcome) -> o.Simulator.ttft_s) outcomes
+  in
+  let tbts =
+    List.filter_map
+      (fun (o : Simulator.request_outcome) ->
+        if o.Simulator.tbt_s > 0. then Some o.Simulator.tbt_s else None)
+      outcomes
+  in
+  {
+    fs with
+    outcomes;
+    rejected = List.sort by_arrival_id !rejected;
+    p50_ttft_s = pct 50. ttfts;
+    p95_ttft_s = pct 95. ttfts;
+    p50_tbt_s = pct 50. tbts;
+    p95_tbt_s = pct 95. tbts;
+  }
+
+let run ?calib (t : t) model requests =
+  if not (Span.enabled ()) then run_list ?calib t model requests
+  else
+    Span.with_span "fleet.run"
+      ~attrs:
+        [ ("pools", Span.Int (List.length t.pools));
+          ( "groups",
+            Span.Int (List.fold_left (fun acc p -> acc + p.count) 0 t.pools) );
+          ("routing", Span.Str (routing_to_string t.routing));
+          ("disaggregated", Span.Str (string_of_bool (disaggregated t)));
+          ("requests", Span.Int (List.length requests)) ]
+      (fun () ->
+        let s = run_list ?calib t model requests in
+        Span.add_attr "generated_tokens" (Span.Int s.generated_tokens);
+        Span.add_attr "makespan_s" (Span.Float s.makespan_s);
+        s)
+
+let run_stream ?calib ?(epoch = 512) ?slo (t : t) model stream =
+  if epoch < 1 then invalid_arg "Cluster.run_stream: epoch must be >= 1";
+  (match slo with
+  | Some (ttft, tbt) when ttft <= 0. || tbt <= 0. ->
+      invalid_arg "Cluster.run_stream: SLO objectives must be positive"
+  | _ -> ());
+  simulate ?calib ~materialized:false ~epoch ?slo ~on_outcome:ignore
+    ~on_reject:ignore t model stream
 
 let slo_attainment fs ~ttft_s ~tbt_s =
   if ttft_s <= 0. || tbt_s <= 0. then

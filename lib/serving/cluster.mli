@@ -38,8 +38,8 @@ type role =
 type routing =
   | Round_robin  (** rotate over groups; oblivious but O(1) per request *)
   | Least_loaded
-      (** fewest outstanding work tokens ({!Simulator.Instance.load})
-          after advancing candidates to the arrival time *)
+      (** fewest outstanding work tokens ({!Simulator.Instance.load});
+          see {!run_stream} for when the signal is read *)
   | Phase_affine
       (** cheapest estimated completion: backlog drain time plus the
           request's own service time, both priced with the candidate's
@@ -156,12 +156,14 @@ val run :
   Acs_workload.Model.t ->
   Trace.request list ->
   fleet_stats
-(** Simulates the whole trace against the fleet. Raises
-    [Invalid_argument] on an empty trace or duplicate request ids (ids
-    key the prefill-to-decode match), and {!Simulator.Infeasible} when
-    any pool's weights alone exceed its device's HBM. Group drains shard
-    across the {!Acs_util.Parallel} domain pool; results are independent
-    of the job count. *)
+(** Simulates the whole trace against the fleet: stable-sorts it by
+    arrival, then runs the {!run_stream} loop over it in a single round
+    with the materialized semantics below. Raises [Invalid_argument] on
+    an empty trace or duplicate request ids (ids key the
+    prefill-to-decode match), and {!Simulator.Infeasible} when any pool's
+    weights alone exceed its device's HBM. Group drains shard across the
+    {!Acs_util.Parallel} domain pool; results are independent of the job
+    count. *)
 
 val run_stream :
   ?calib:Acs_perfmodel.Calib.t ->
@@ -179,21 +181,32 @@ val run_stream :
     {!Acs_util.Stats.Online} accumulators in fixed group order - so
     results are bit-identical across [ACS_JOBS] settings, and peak memory
     is O(groups * backlog + epoch + sketch), independent of trace length.
+    Raises like {!run}; also [Invalid_argument] on an SLO with
+    non-positive objectives.
 
-    The returned stats carry empty [outcomes]/[rejected] lists; counts
-    live in [completed]/[rejected_count], percentile fields come from the
-    online sketches (nearest-rank within 1% relative error - see
-    {!Acs_util.Stats.Online.quantile} - rather than the interpolated
-    exact percentiles of {!run}), and [slo] (TTFT, TBT objectives in
-    seconds) fills [slo_attained].
-
-    Routing differences against {!run}: [Round_robin] streamed reproduces
-    the materialized run exactly (same totals, steps and makespan);
-    [Least_loaded]/[Phase_affine] price candidates with signals as of the
-    last epoch boundary instead of advancing every group to each arrival,
-    so their (deterministic) decisions can differ from the materialized
-    router's. Raises like {!run}; also [Invalid_argument] on an SLO with
-    non-positive objectives. *)
+    {!run} is the same loop; the two differ in exactly these ways:
+    - {e Routing signals.} [Least_loaded] and [Phase_affine] read their
+      signals after {!run} advances every candidate group to each
+      request's arrival; streamed, they read them as of the last epoch
+      boundary, so their (deterministic) decisions can differ.
+      [Round_robin] reads no signal: streamed totals, steps and makespan
+      equal {!run}'s at any epoch.
+    - {e Lists.} {!run} returns the merged [outcomes]/[rejected] lists and
+      per-group stats whose own outcome/reject lists are whole. Streamed,
+      all of those lists are empty (so are the per-group percentile
+      fields they feed); counts live in [completed]/[rejected_count].
+    - {e Percentiles.} {!run} interpolates exact percentiles over
+      [outcomes]; streamed, they come from the online sketches
+      (nearest-rank within 1% relative error - see
+      {!Acs_util.Stats.Online.quantile}).
+    - {e SLO.} [slo] (TTFT, TBT objectives in seconds) fills
+      [slo_attained], accumulated online. {!run} leaves it [None]; apply
+      {!slo_attainment} to its outcome list instead.
+    - {e Summation order.} Handoff delays are summed as each round merges
+      prefill groups. At [epoch] below the trace length on a fleet with
+      several prefill groups, that order differs from {!run}'s
+      group-by-group order, and [mean_handoff_s] can differ in its last
+      bits. *)
 
 val slo_attainment : fleet_stats -> ttft_s:float -> tbt_s:float -> float
 (** Fraction of completed originals meeting both objectives, with the
