@@ -310,11 +310,9 @@ let sweep_throughput () =
 
 (* --- serving throughput: the scheduler on the compiled engine path ---
 
-   Wall-clock scheduler iterations/s over a fixed synthetic trace, legacy
-   engine (one [Engine.simulate] per step) against the compiled stepper
-   ([Engine.compile] + [simulate_compiled], memoized per (phase, batch,
-   context-bucket)). Both engines bucket contexts identically, so the
-   resulting stats are equal and the ratio isolates the stepping cost.
+   Wall-clock scheduler iterations/s over a fixed synthetic trace on the
+   compiled stepper ([Engine.compile] + [simulate_compiled], memoized per
+   (phase, batch, context-bucket)), under both scheduling policies.
    Manual best-of-N for the same reason as the sweep above: one run is
    tens of milliseconds and must not be iterated inside a bechamel
    quota. *)
@@ -330,9 +328,6 @@ let serving_throughput () =
   let repeats = if quick () then 3 else 5 in
   let variants =
     [
-      ( "legacy",
-        { Core.Simulator.default_config with
-          Core.Simulator.engine = Core.Simulator.Legacy } );
       ("compiled", Core.Simulator.default_config);
       ( "compiled-decode-fair",
         { Core.Simulator.default_config with
@@ -373,26 +368,6 @@ let serving_throughput () =
       (Printf.sprintf "Llama 3 8B on A100, %d requests over %.0f s"
          (List.length trace) duration_s)
     t;
-  let rate_of name =
-    List.find_map
-      (fun (n, _, _, _, _, r) -> if n = name then Some r else None)
-      rows
-  in
-  (match (rate_of "legacy", rate_of "compiled") with
-  | Some lg, Some cp when lg > 0. ->
-      Common.note
-        "[speed] serving steps (%d requests): compiled %.0f steps/s vs \
-         legacy %.0f steps/s (%.2fx)"
-        (List.length trace) cp lg (cp /. lg)
-  | _ -> ());
-  (* The two engines must tell the same story; a drift here means the
-     memo key (or the bucketing) diverged from the legacy stepper. *)
-  (match rows with
-  | (_, _, legacy_stats, _, _, _) :: (_, _, compiled_stats, _, _, _) :: _
-    when legacy_stats <> compiled_stats ->
-      Common.note
-        "[speed] WARNING: legacy and compiled serving stats diverge"
-  | _ -> ());
   (try Sys.mkdir Common.results_dir 0o755 with Sys_error _ -> ());
   let json =
     Core.Json.obj
@@ -410,10 +385,6 @@ let serving_throughput () =
               Core.Json.obj
                 [
                   ("variant", Core.Json.string name);
-                  ( "engine",
-                    Core.Json.string
-                      (Core.Simulator.engine_to_string
-                         config.Core.Simulator.engine) );
                   ( "policy",
                     Core.Json.string
                       (Core.Simulator.policy_to_string

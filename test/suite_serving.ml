@@ -226,22 +226,38 @@ let t_kv_admission_is_safe () =
     <= float_of_int s.Simulator.kv_limited_batch +. 1e-9)
 
 let t_engine_identity () =
-  (* The compiled stepper must be a pure speedup: simulate_compiled is
-     bit-identical to simulate, both engines bucket step lengths the same
-     way, so whole-run stats compare [=] - every float, both policies. *)
+  (* The compiled, memoized stepper must be a pure speedup over pricing
+     every step with a fresh [Engine.simulate] (the legacy engine), so
+     whole-run stats compare [=] - every float, both policies. The legacy
+     stepper below rebuilds the simulator's step convention: lengths
+     rounded up to [context_bucket], decode priced at output_len 0. *)
+  let dev = Presets.a100 and model = Model.llama3_8b in
   List.iter
     (fun policy ->
-      let config engine =
-        { Simulator.default_config with Simulator.policy; engine }
+      let config = { Simulator.default_config with Simulator.policy } in
+      let step ~prefill ~batch ~len =
+        let b = config.Simulator.context_bucket in
+        let input_len = (max 1 len + b - 1) / b * b in
+        let request =
+          Request.make ~batch ~input_len ~output_len:(if prefill then 1 else 0)
+        in
+        let r = Engine.simulate ~tp:config.Simulator.tp ~request dev model in
+        if prefill then Engine.model_ttft_s r else Engine.model_tbt_s r
       in
-      let legacy =
-        Simulator.run ~config:(config Simulator.Legacy) Presets.a100
-          Model.llama3_8b small_trace
+      let stepper =
+        {
+          Simulator.prefill_s =
+            (fun ~batch ~input_len -> step ~prefill:true ~batch ~len:input_len);
+          decode_s =
+            (fun ~batch ~context -> step ~prefill:false ~batch ~len:context);
+        }
       in
-      let compiled =
-        Simulator.run ~config:(config Simulator.Compiled) Presets.a100
-          Model.llama3_8b small_trace
-      in
+      let inst = Simulator.Instance.create ~stepper ~config dev model in
+      (* [small_trace] is already in arrival order, as [run] submits it *)
+      List.iter (Simulator.Instance.submit inst) small_trace;
+      Simulator.Instance.drain inst;
+      let legacy = Simulator.Instance.stats inst in
+      let compiled = Simulator.run ~config dev model small_trace in
       Alcotest.(check bool)
         (Simulator.policy_to_string policy ^ ": legacy = compiled")
         true (legacy = compiled))
