@@ -85,7 +85,6 @@ module Scenario = Acs_dse.Scenario
 module Eval = Acs_dse.Eval
 module Pareto = Acs_dse.Pareto
 module Optimum = Acs_dse.Optimum
-module Search = Acs_dse.Search
 module Adaptive = Acs_dse.Adaptive
 module Disk_cache = Acs_dse.Disk_cache
 module Daemon = Acs_daemon

@@ -482,18 +482,35 @@ let pareto ctx axes sweep ~prescreen =
     incr w
   done
 
+(* The deterministic starts: the all-low corner, the all-high corner and
+   the lattice center, each picking by position in the sweep's own axis
+   lists (the center is the element at index [length / 2]). *)
+let corners (sweep : Space.sweep) =
+  let corner at =
+    let pick l = List.nth l (at (List.length l)) in
+    {
+      Space.systolic_dim = pick sweep.Space.systolic_dims;
+      lanes = pick sweep.Space.lanes_per_core;
+      l1 = pick sweep.Space.l1_kb;
+      l2 = pick sweep.Space.l2_mb;
+      memory_bw = pick sweep.Space.memory_bw_tb_s;
+      device_bw = pick sweep.Space.device_bw_gb_s;
+      clock_mhz = pick sweep.Space.clock_mhz;
+    }
+  in
+  [ corner (fun _ -> 0); corner pred; corner (fun n -> n / 2) ]
+
 let descent ctx axes sweep ~prescreen ~seed =
   (* Multi-start coordinate descent: the deduplicated lattice corners
-     (generalizing [Search.optimize]) plus seeded random starts. All
-     randomness is drawn up front, before any evaluation, so the start
-     set is independent of cache state. *)
+     plus seeded random starts. All randomness is drawn up front, before
+     any evaluation, so the start set is independent of cache state. *)
   let rng = Random.State.make [| seed; 0x5eed |] in
   let lens = axis_lengths axes in
   let random_start () =
     params_at axes (Array.map (fun l -> Random.State.int rng l) lens)
   in
   let starts =
-    Search.corners sweep @ List.init 4 (fun _ -> random_start ())
+    corners sweep @ List.init 4 (fun _ -> random_start ())
     |> List.fold_left
          (fun acc p ->
            if List.exists (Space.params_equal p) acc then acc else p :: acc)

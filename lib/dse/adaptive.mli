@@ -39,9 +39,9 @@ type strategy =
           lower bound and its exact die cost - i.e. it can neither win
           nor extend the (objective, cost) frontier. *)
   | Descent
-      (** Multi-start coordinate descent generalizing {!Search.optimize}:
-          deduplicated lattice corners plus seeded random starts; each
-          pass scans one full axis at a time. *)
+      (** Multi-start coordinate descent: the deduplicated lattice
+          corners (all-low, all-high, center) plus seeded random starts;
+          each pass scans one full axis at a time. *)
   | Zoom
       (** Space refinement: a coarse subgrid of the full box, then
           repeatedly zoom the box onto the incumbent's lattice cell, with

@@ -1,107 +1,11 @@
+(* The domain pool and the parallel, memoized evaluation engine the
+   searches run on. *)
+
 open Core
 open Helpers
 
 let sweep = Space.oct2022
 let model = Model.llama3_8b
-let feasible d = Design.compliant_2022 d && Design.manufacturable d
-let objective d = d.Design.tbt_s
-
-let center =
-  { Space.systolic_dim = 16; lanes = 2; l1 = 256.; l2 = 48.; memory_bw = 2.4;
-    device_bw = 600.; clock_mhz = Space.default_clock_mhz }
-
-let t_neighbors () =
-  let ns = Search.neighbors sweep center in
-  (* Interior point on 5 swept dimensions (device_bw has one value):
-     dims 16 has one neighbor (32), lanes 2 has two, l1 256 two, l2 48 two,
-     membw 2.4 two, devbw none = 9. *)
-  Alcotest.(check int) "neighbor count" 9 (List.length ns);
-  Alcotest.(check bool) "one-step moves" true
-    (List.for_all
-       (fun (n : Space.params) ->
-         let diffs =
-           List.length
-             (List.filter Fun.id
-                [
-                  n.Space.systolic_dim <> center.Space.systolic_dim;
-                  n.Space.lanes <> center.Space.lanes;
-                  n.Space.l1 <> center.Space.l1;
-                  n.Space.l2 <> center.Space.l2;
-                  n.Space.memory_bw <> center.Space.memory_bw;
-                  n.Space.device_bw <> center.Space.device_bw;
-                ])
-         in
-         diffs = 1)
-       ns)
-
-let t_neighbors_at_edge () =
-  let corner =
-    { Space.systolic_dim = 16; lanes = 1; l1 = 192.; l2 = 32.; memory_bw = 2.;
-      device_bw = 600.; clock_mhz = Space.default_clock_mhz }
-  in
-  let ns = Search.neighbors sweep corner in
-  (* Every dimension at its low end: one neighbor each for the five
-     multi-valued dimensions. *)
-  Alcotest.(check int) "edge neighbors" 5 (List.length ns)
-
-let t_local_search_improves () =
-  match
-    Search.local_search ~sweep ~tpp_target:4800. ~model ~objective ~feasible
-      center
-  with
-  | None -> Alcotest.fail "center is feasible"
-  | Some o ->
-      Alcotest.(check bool) "made progress" true (o.Search.steps > 0);
-      Alcotest.(check bool) "local optimum" true
-        (List.for_all
-           (fun p ->
-             let d = Design.evaluate ~model p (Space.build ~tpp_target:4800. p) in
-             (not (feasible d)) || objective d >= objective o.Search.best)
-           (Search.neighbors sweep o.Search.best.Design.params))
-
-let t_optimize_matches_sweep () =
-  match
-    Search.optimize ~sweep ~tpp_target:4800. ~model ~objective ~feasible ()
-  with
-  | None -> Alcotest.fail "optimize found nothing"
-  | Some o ->
-      let designs = Design.evaluate_sweep ~model ~tpp_target:4800. sweep in
-      let global =
-        Optimum.best_exn ~filters:[ feasible ] Optimum.Tbt designs
-      in
-      (* Hill climbing on this near-separable objective should land within
-         a few percent of the global optimum with far fewer evaluations. *)
-      check_within "near-global" ~tolerance:0.05 global.Design.tbt_s
-        (objective o.Search.best);
-      Alcotest.(check bool) "cheaper than the sweep" true
-        (o.Search.evaluated < List.length designs)
-
-(* Adjacent swept values (the hill-climbing move set). *)
-
-let t_adjacent () =
-  let vs = [ 3; 1; 2; 2; 4 ] in
-  (* Unsorted input with a duplicate: [adjacent] sorts and dedups first. *)
-  Alcotest.(check (list int)) "interior" [ 1; 3 ] (Search.adjacent vs 2);
-  Alcotest.(check (list int)) "low end" [ 2 ] (Search.adjacent vs 1);
-  Alcotest.(check (list int)) "high end" [ 3 ] (Search.adjacent vs 4);
-  Alcotest.(check (list int)) "absent current" [] (Search.adjacent vs 99);
-  Alcotest.(check (list int)) "singleton" [] (Search.adjacent [ 7 ] 7);
-  Alcotest.(check (list int)) "empty" [] (Search.adjacent [] 7)
-
-let t_adjacent_float () =
-  let cmp = Float.compare in
-  (* Values equal under the comparator must dedup: 0. and -0. are one
-     swept value, so 1. sees a single low neighbor. *)
-  Alcotest.(check (list (float 0.))) "equal-after-sort dedup" [ 0.; 2. ]
-    (Search.adjacent ~cmp [ 2.; 0.; -0.; 1. ] 1.);
-  Alcotest.(check (list (float 0.))) "-0. finds 0." [ 1. ]
-    (Search.adjacent ~cmp [ 0.; 1.; 2. ] (-0.));
-  (* Under [Float.compare], nan is a findable (smallest) value; under the
-     polymorphic [=] it could never match itself. *)
-  Alcotest.(check (list (float 0.))) "nan findable" [ 1. ]
-    (Search.adjacent ~cmp [ 1.; Float.nan; 4. ] Float.nan);
-  Alcotest.(check (list int)) "default compare unchanged" [ 1; 3 ]
-    (Search.adjacent [ 3; 1; 2 ] 2)
 
 (* The parallel pool. *)
 
@@ -200,61 +104,8 @@ let t_eval_cache () =
   let c = Eval.sweep ~model ~tpp_target:2400. sweep in
   Alcotest.(check bool) "different target, different designs" true (a <> c)
 
-let t_optimize_dedups_starts () =
-  (* On a near-singleton sweep the hi and mid corners coincide; the
-     duplicate start must not rerun the climb and recount its evaluations
-     (the historical bug: each duplicate restart re-counted the shared
-     start point in [outcome.evaluated]). *)
-  let sweep2 =
-    { Space.systolic_dims = [ 16 ]; lanes_per_core = [ 2 ];
-      l1_kb = [ 192.; 256. ]; l2_mb = [ 32.; 48. ]; memory_bw_tb_s = [ 2. ];
-      device_bw_gb_s = [ 600. ]; clock_mhz = [ Space.default_clock_mhz ] }
-  in
-  let start l1 l2 =
-    { Space.systolic_dim = 16; lanes = 2; l1; l2; memory_bw = 2.;
-      device_bw = 600.; clock_mhz = Space.default_clock_mhz }
-  in
-  (* corners = lo, hi, mid; mid picks the upper of two values on both
-     multi-valued axes, so it equals hi: two distinct starts remain. *)
-  let unique_starts = [ start 192. 32.; start 256. 48. ] in
-  let expected =
-    List.fold_left
-      (fun acc s ->
-        match
-          Search.local_search ~sweep:sweep2 ~tpp_target:4800. ~model ~objective
-            ~feasible s
-        with
-        | Some o -> acc + o.Search.evaluated
-        | None -> acc)
-      0 unique_starts
-  in
-  match
-    Search.optimize ~sweep:sweep2 ~tpp_target:4800. ~model ~objective ~feasible
-      ()
-  with
-  | None -> Alcotest.fail "optimize found nothing"
-  | Some o ->
-      Alcotest.(check int) "evaluations counted once per unique start"
-        expected o.Search.evaluated
-
-let t_infeasible_everywhere () =
-  let impossible _ = false in
-  Alcotest.(check bool) "no outcome" true
-    (Search.local_search ~sweep ~tpp_target:4800. ~model ~objective
-       ~feasible:impossible center
-    = None)
-
 let suite =
   [
-    test "lattice neighbors" t_neighbors;
-    test "neighbors at the edge" t_neighbors_at_edge;
-    test "local search improves to a local optimum" t_local_search_improves;
-    test "multi-start matches the sweep optimum" t_optimize_matches_sweep;
-    test "duplicate starts deduplicated and counted once"
-      t_optimize_dedups_starts;
-    test "infeasible everywhere" t_infeasible_everywhere;
-    test "adjacent swept values" t_adjacent;
-    test "adjacent under Float.compare" t_adjacent_float;
     prop_parallel_map;
     prop_parallel_filter_map;
     prop_map_reduce;
